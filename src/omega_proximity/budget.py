@@ -18,8 +18,10 @@ BUDGET_ENV_VAR = "OMEGA_PROXIMITY_BUDGET"
 DEFAULT_BUDGET_MB = 2048
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Working set of one sieve segment: int64 remainders plus two count arrays,
-# a mask, and temporaries.
+# Working set of one sieve segment: the int64 product of found prime powers
+# and the int64 arange it is compared with (8 B each), the uint8 omega, extra
+# and big_omega arrays and the bool comparison (1 B each), about 20 B in all.
+# The cap stays at 32 to cover numpy temporaries and the callers' own arrays.
 WORKING_BYTES_PER_N = 32
 
 

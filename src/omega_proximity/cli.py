@@ -61,6 +61,13 @@ def _parse_grid(raw: str) -> list[int]:
     return [int(v) for v in vals]
 
 
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_set(args: argparse.Namespace) -> PrimeSetS:
     count = args.count if args.count is not None else 5
     if args.set == "paper":
@@ -353,7 +360,7 @@ def _add_common(p: argparse.ArgumentParser, with_x: bool = True) -> None:
         p.add_argument("--x", type=int, required=True, help="inclusive upper bound")
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
                    help="sieve chunk length (>= 64)")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=positive_int, default=1,
                    help="worker threads; results do not depend on this")
     p.add_argument("--out", default=".", help="output directory")
 
@@ -418,7 +425,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, default=10_000, help="scale for the checks")
     p.add_argument("--g", default=None, help="also validate this g JSON file")
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify)
 

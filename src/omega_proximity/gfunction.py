@@ -10,12 +10,14 @@ divide n, never on their exponents.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 from .budget import DEFAULT_SEGMENT_SIZE
 from .census import census, mode_k, normalize_f
 from .errors import ScaleError
 from .primeset import PrimeSetS
+from .sieve import is_prime
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,28 @@ class GFunction:
 
     g(n) is the product of table values over the table primes dividing n;
     primes outside the table contribute 1, so the empty table is g == 1.
+    Table primes must be distinct primes below 2**63 and values integers
+    >= 0; anything else raises ValueError at construction.
     """
 
     x: int | None
     prime_set: PrimeSetS | None
     f_tag: str
     entries: tuple[GEntry, ...]
+
+    def __post_init__(self) -> None:
+        seen: set[int] = set()
+        for e in self.entries:
+            for name, v in (("prime", e.prime), ("value", e.value)):
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ValueError(f"g table {name} must be an integer, got {v!r}")
+            if e.prime >= 1 << 63 or not is_prime(e.prime):
+                raise ValueError(f"g table prime {e.prime} is not a prime below 2**63")
+            if e.prime in seen:
+                raise ValueError(f"g table lists the prime {e.prime} twice")
+            seen.add(e.prime)
+            if e.value < 0:
+                raise ValueError(f"g table value at {e.prime} must be >= 0, got {e.value}")
 
     @property
     def table(self) -> dict[int, int]:
@@ -98,8 +116,8 @@ class GFunction:
         pset = PrimeSetS.from_json_dict(d["set"]) if d.get("set") else None
         entries = tuple(
             GEntry(
-                prime=int(row["prime"]),
-                value=int(row["value"]),
+                prime=row["prime"],
+                value=row["value"],
                 z=None if row.get("z") is None else int(row["z"]),
                 residue_class=None if row.get("class") is None else int(row["class"]),
                 fallback=bool(row.get("fallback", False)),

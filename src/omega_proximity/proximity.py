@@ -62,14 +62,24 @@ class PhiDiagnostics:
     k_of_x: float
 
 
+# f(n) <= 63 for every n < 2**63, so g values are capped here: a capped
+# value never matches, and products of capped values stay far inside int64.
+G_SATURATION = 64
+
+
 def _g_segment_values(g: GFunction, lo: int, hi: int) -> np.ndarray:
-    """g(n) for n in [lo, hi) as int64, by stepping table-prime multiples."""
+    """min(g(n), G_SATURATION) for n in [lo, hi) as int64.
+
+    Built by stepping the multiples of each table prime.
+    """
     out = np.ones(hi - lo, dtype=np.int64)
     for entry in g.entries:
         p = entry.prime
         start = ((lo + p - 1) // p) * p
         if start < hi:
-            out[start - lo :: p] *= entry.value
+            sl = out[start - lo :: p]
+            sl *= min(entry.value, G_SATURATION)
+            np.minimum(sl, G_SATURATION, out=sl)
     return out
 
 

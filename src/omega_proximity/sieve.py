@@ -2,8 +2,12 @@
 
 Responsibility: exact values of omega(n) (number of distinct prime factors)
 and big_omega(n) (number of prime factors counted with multiplicity) over
-integer ranges, a prime enumerator, and a slow trial-division factorizer
-used as the independent cross-check for the sieve.
+integer ranges, an odd-only prime enumerator, a primality check, and a slow
+trial-division factorizer used as the independent cross-check for the sieve.
+
+The segment kernel never divides: it multiplies the prime powers it finds
+into an int64 product and compares that product with n to detect the one
+prime factor above sqrt(n) a number can have.
 """
 
 from __future__ import annotations
@@ -74,12 +78,17 @@ def primes_up_to(limit: int) -> PrimeList:
     if limit < 2:
         raise ValueError(f"primes_up_to requires limit >= 2, got {limit}")
     require_budget(limit + 1, "prime sieve")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return PrimeList(limit, np.nonzero(flags)[0].astype(np.int64))
+    # Odd numbers only: flags[i] stands for 2i + 1.  Slot 0 (the number 1)
+    # stays set and becomes the prime 2 when the indices turn into primes.
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p // 2]:
+            flags[p * p // 2 :: p] = False
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return PrimeList(limit, primes)
 
 
 _prime_cache: PrimeList | None = None
@@ -94,15 +103,41 @@ def _cached_primes(limit: int) -> np.ndarray:
     return ps[: int(np.searchsorted(ps, limit, side="right"))]
 
 
+# The first twelve primes as Miller-Rabin bases; the smallest composite
+# that passes all of them is 318665857834031151167461 (Sorenson and
+# Webster, 2015), so below it the test is exact.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
+    """Deterministic Miller-Rabin primality check.
+
+    Exact for every n below 3.18e24 without a prime table up to sqrt(n);
+    larger n raise ValueError rather than risk a wrong answer.
+    """
     if n < 2:
         return False
-    root = math.isqrt(n)
-    if root < 2:
-        return True
-    ps = _cached_primes(root)
-    return not bool(np.any(n % ps == 0))
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MILLER_RABIN_EXACT_BELOW}, got {n}")
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def next_prime(n: int | float) -> int:
@@ -120,31 +155,37 @@ def next_prime(n: int | float) -> int:
 def _segment_factor_counts(
     lo: int, hi: int, primes: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pure worker: omega/big_omega for [lo, hi) given sieve primes <= sqrt(hi-1)."""
+    """Pure worker: omega/big_omega for [lo, hi) given sieve primes <= sqrt(hi-1).
+
+    No division: found[i] is the part of n = lo + i made of sieve primes,
+    the product of every p**a dividing n.  It divides n, so it cannot
+    overflow, and n has a prime factor above sqrt(hi - 1) exactly when
+    found < n.
+    """
     span = hi - lo
     omega = np.zeros(span, dtype=np.uint8)
-    big_omega = np.zeros(span, dtype=np.uint8)
-    rem = np.arange(lo, hi, dtype=np.int64)
+    extra = np.zeros(span, dtype=np.uint8)  # prime powers p**a with a >= 2
+    found = np.ones(span, dtype=np.int64)
     for p in primes:
         start = ((lo + p - 1) // p) * p
         if start >= hi:
             continue
-        omega[start - lo :: p] += 1
-        q = p
+        sl = slice(start - lo, span, p)
+        omega[sl] += 1
+        found[sl] *= p
+        q = p * p
         while q < hi:
             startq = ((lo + q - 1) // q) * q
             if startq >= hi:
                 break
             sl = slice(startq - lo, span, q)
-            big_omega[sl] += 1
-            rem[sl] //= p
+            extra[sl] += 1
+            found[sl] *= p
             q *= p
-    # Whatever survives division by all primes <= sqrt(hi-1) is 1 or a
-    # single prime > sqrt(n); it contributes one to both counts.
-    left = rem > 1
-    omega[left] += 1
-    big_omega[left] += 1
-    return omega, big_omega
+    # The cofactor n // found is 1 or a single prime > sqrt(n), which adds
+    # one to both counts.
+    omega += (found < np.arange(lo, hi, dtype=np.int64)).view(np.uint8)
+    return omega, omega + extra
 
 
 def _pipelined(worker: Callable, items: Iterable, threads: int) -> Iterator:

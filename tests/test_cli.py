@@ -128,6 +128,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", [["census", "--x", "100"], ["verify"]])
+def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--threads", threads], tmp_path)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_count_rejects_invalid_g_table(tmp_path, capsys):
+    g_path = tmp_path / "bad_g.json"
+    g_path.write_text(json.dumps({"f": "big_omega", "table": [
+        {"prime": 4, "value": -3}, {"prime": 4, "value": 2},
+    ]}))
+    assert run(["count", "--x", "100", "--g", str(g_path)], tmp_path) == 2
+    assert "g table" in capsys.readouterr().err
+    assert not (tmp_path / "count_bigomega_x100.json").exists()
+
+
 def test_capacity_exit_3(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "1")
     assert run(["census", "--x", "2000000"], tmp_path) == 3

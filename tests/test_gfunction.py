@@ -100,6 +100,36 @@ def test_value_by_divisibility():
         g.value(0)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"prime": 4, "value": -3}, {"prime": 4, "value": 2}],
+        [{"prime": 9, "value": 2}],
+        [{"prime": 1, "value": 2}],
+        [{"prime": -3, "value": 2}],
+        [{"prime": 2**63 + 29, "value": 2}],
+        [{"prime": 3, "value": 2}, {"prime": 3, "value": 2}],
+        [{"prime": 3, "value": -1}],
+        [{"prime": 3, "value": 2.5}],
+        [{"prime": 3.0, "value": 2}],
+        [{"prime": 3, "value": "2"}],
+        [{"prime": 3, "value": True}],
+    ],
+)
+def test_table_validation_rejects_bad_rows(rows):
+    with pytest.raises(ValueError):
+        GFunction.from_json_dict({"f": "big_omega", "table": rows})
+
+
+def test_table_validation_accepts_edge_values():
+    g = GFunction.from_json_dict(
+        {"table": [{"prime": 2**61 - 1, "value": 0}, {"prime": 3, "value": 10**30}]}
+    )
+    assert g.table == {2**61 - 1: 0, 3: 10**30}
+    with pytest.raises(ValueError):
+        GFunction(None, None, "big_omega", (GEntry(15, 2, None, None, False),))
+
+
 def test_identity_function():
     ident = GFunction.identity()
     assert all(ident.value(n) == 1 for n in (1, 2, 97, 360))

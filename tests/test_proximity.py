@@ -5,7 +5,7 @@ import math
 import pytest
 
 from omega_proximity.census import census
-from omega_proximity.gfunction import GFunction, build_g
+from omega_proximity.gfunction import GEntry, GFunction, build_g
 from omega_proximity.primeset import PrimeSetS
 from omega_proximity.proximity import (
     certificate_count,
@@ -33,6 +33,18 @@ def test_count_matches_slow_oracle(power_set_5):
         got = coincidence_count(2000, tag, g)
         want = coincidence_count_slow(2000, tag, g.table)
         assert got == want
+
+
+@pytest.mark.parametrize("big", [2**62 + 1, 2**63 - 1, 10**30])
+def test_count_saturates_huge_table_values(big):
+    # 2**62 + 1 times 4 used to wrap around in int64 and fake matches.
+    table = {3: big, 5: 4}
+    g = GFunction(None, None, "big_omega", tuple(GEntry(p, v, None, None, False) for p, v in table.items()))
+    for tag in ("omega", "big_omega"):
+        assert coincidence_count(1000, tag, g) == coincidence_count_slow(1000, tag, table)
+    assert coincidence_count(1000, "big_omega", g) == 191
+    l_count, checked = certificate_count(1000, PrimeSetS.from_members([3, 5]), g)
+    assert l_count == checked <= 191
 
 
 def test_count_monotone_in_x(power_set_5):

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omega_proximity.errors import CapacityError
 from omega_proximity.sieve import (
@@ -25,9 +27,13 @@ def test_primes_up_to_small():
 
 
 def test_primes_up_to_matches_oracle():
-    got = list(primes_up_to(500).primes)
-    want = [n for n in range(2, 501) if is_prime_slow(n)]
-    assert got == want
+    # Every limit to 3000 covers the odd-only table at each length, slot 0
+    # relabelled as 2, and each crossing-off start p*p.
+    want = [n for n in range(2, 3001) if is_prime_slow(n)]
+    for limit in range(2, 3001):
+        got = primes_up_to(limit).primes
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in want if p <= limit], limit
 
 
 def test_primes_up_to_rejects_tiny_limit():
@@ -36,8 +42,20 @@ def test_primes_up_to_rejects_tiny_limit():
 
 
 def test_is_prime_matches_oracle():
-    for n in range(0, 501):
+    for n in range(0, 3001):
         assert is_prime(n) == is_prime_slow(n), n
+
+
+def test_is_prime_beyond_a_prime_table():
+    for p in (2**31 - 1, 2**61 - 1, 2**63 - 25):
+        assert is_prime(p), p
+    # Carmichael numbers, a prime square, and strong pseudoprimes to the
+    # bases 2..7 and 2..23.
+    for n in (561, 41041, 1_000_003**2, 3_215_031_751, 3_825_123_056_546_413_051):
+        assert not is_prime(n), n
+    # The smallest strong pseudoprime to every base up to 37.
+    with pytest.raises(ValueError):
+        is_prime(318_665_857_834_031_151_167_461)
 
 
 def test_next_prime():
@@ -104,6 +122,23 @@ def test_thread_count_independence():
     other = sieve_census(1, 20000, segment_size=1024, threads=3)
     assert np.array_equal(base.omega, other.omega)
     assert np.array_equal(base.big_omega, other.big_omega)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lo=st.integers(4, 10).flatmap(lambda e: st.integers(10**e, 10**(e + 1))),
+    span=st.integers(1, 256),
+)
+@example(lo=10**11 - 256, span=256)
+def test_sieve_windows_match_factorize(lo, span):
+    # Windows from 10^4 to 10^11, one decimal order drawn at a time, split
+    # into segments of 64 so that two threads really pipeline.
+    want = [factorize(n) for n in range(lo, lo + span)]
+    for threads in (1, 2):
+        seg = sieve_census(lo, lo + span, segment_size=64, threads=threads)
+        for n, fs in zip(range(lo, lo + span), want):
+            assert seg.omega_of(n) == len(set(fs)), (n, threads)
+            assert seg.big_omega_of(n) == len(fs), (n, threads)
 
 
 def test_additivity_on_coprime_pairs():
