@@ -18,10 +18,11 @@ BUDGET_ENV_VAR = "OMEGA_PROXIMITY_BUDGET"
 DEFAULT_BUDGET_MB = 2048
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Working set of one sieve segment: the int64 product of found prime powers
-# and the int64 arange it is compared with (8 B each), the uint8 omega, extra
-# and big_omega arrays and the bool comparison (1 B each), about 20 B in all.
-# The cap stays at 32 to cover numpy temporaries and the callers' own arrays.
+# Working set of one segment, per integer: the sieve kernel's int64 product of
+# found prime powers and int64 arange (8 B each) with uint8 omega, extra,
+# big_omega and a bool compare, about 20 B; after it, the certificate's uint8
+# hits, want and levels, uint16 g values and bincount's int64 copy of levels,
+# about 14 B.  The cap of 32 also covers numpy temporaries.
 WORKING_BYTES_PER_N = 32
 
 

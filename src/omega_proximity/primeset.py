@@ -56,18 +56,6 @@ class PrimeSetS:
         tags = tuple(None if m == 2 else m % 4 for m in ms)
         return cls(ms, tags, kind, delta, exponent)
 
-    @property
-    def recip_sum_1(self) -> float:
-        return reciprocal_sums(self)[0]
-
-    @property
-    def recip_sum_3(self) -> float:
-        return reciprocal_sums(self)[1]
-
-    @property
-    def density(self) -> float:
-        return density_constant(self)
-
     def to_json_dict(self) -> dict:
         r1, r3 = reciprocal_sums(self)
         return {
@@ -163,9 +151,7 @@ def coprime_mask(lo: int, hi: int, members: Sequence[int]) -> np.ndarray:
     """Boolean array over [lo, hi): True where n shares no factor with members."""
     mask = np.ones(hi - lo, dtype=bool)
     for m in members:
-        start = ((lo + m - 1) // m) * m
-        if start < hi:
-            mask[start - lo :: m] = False
+        mask[-lo % m :: m] = False  # from the first multiple of m in range
     return mask
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
 from .census import CensusTable, census, mode_k, normalize_f
 from .gfunction import GFunction
-from .primeset import PrimeSetS, coprime_mask
+from .primeset import PrimeSetS
 from .sieve import iter_factor_segments, primes_up_to
 
 
@@ -63,23 +63,21 @@ class PhiDiagnostics:
 
 
 # f(n) <= 63 for every n < 2**63, so g values are capped here: a capped
-# value never matches, and products of capped values stay far inside int64.
+# value never matches, and a product of two capped values (at most 4096)
+# fits in uint16 before it is capped again.
 G_SATURATION = 64
 
 
 def _g_segment_values(g: GFunction, lo: int, hi: int) -> np.ndarray:
-    """min(g(n), G_SATURATION) for n in [lo, hi) as int64.
+    """min(g(n), G_SATURATION) for n in [lo, hi) as uint16.
 
     Built by stepping the multiples of each table prime.
     """
-    out = np.ones(hi - lo, dtype=np.int64)
+    out = np.ones(hi - lo, dtype=np.uint16)
     for entry in g.entries:
-        p = entry.prime
-        start = ((lo + p - 1) // p) * p
-        if start < hi:
-            sl = out[start - lo :: p]
-            sl *= min(entry.value, G_SATURATION)
-            np.minimum(sl, G_SATURATION, out=sl)
+        sl = out[-lo % entry.prime :: entry.prime]
+        sl *= min(entry.value, G_SATURATION)
+        np.minimum(sl, G_SATURATION, out=sl)
     return out
 
 
@@ -115,19 +113,22 @@ def certificate_count(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> tuple[int, int]:
-    """Certified lower bound for coincidence_count(x, f, g) with witnesses.
+    """Certified lower bound for coincidence_count(x, f, g), counted two ways.
 
-    Counts n = r * p**a for each member p <= x and exponent a >= 1 with
-    p**a <= x, where r <= x // p**a is coprime to every member and sits at
-    the level that forces f(n) = g(n): big_omega(r) = g(p) - a for f =
-    big_omega, omega(r) = g(p) - 1 for f = omega.  Negative targets are
-    skipped.  Distinct (p, a, r) give distinct n because r carries no
-    member prime, so the families are disjoint and the total is a true
-    lower bound.
+    The witnesses are n = r * p**a for each member p <= x and exponent
+    a >= 1, where r <= x // p**a is coprime to every member and sits at the
+    level that forces f(n) = g(n): big_omega(r) = g(p) - a for f =
+    big_omega, omega(r) = g(p) - 1 for f = omega.  Distinct (p, a, r) give
+    distinct n because r carries no member prime, so the families are
+    disjoint and the total is a true lower bound.
 
-    Every witness is re-checked against f(n) = g(n) on the sieved arrays;
-    the returned pair is (count, witnesses_checked) and a failed check
-    raises RuntimeError.
+    One sweep of [1, x] keeps only per-segment arrays.  The r route reads a
+    level histogram of the integers no member divides at each cutoff
+    x // p**a.  The n route counts the n that exactly one member p divides
+    with f(n) = g(p); v_p(n) = a since r is coprime to every member, so
+    these are the same witnesses, and each is checked against f(n) = g(n)
+    over the whole g table.  Returns (count, witnesses_checked); a failed
+    check or routes that disagree raise RuntimeError.
     """
     tag = normalize_f(f_tag)
     members = [p for p in prime_set.members if p <= x]
@@ -137,36 +138,47 @@ def certificate_count(
     for p in members:
         if p not in table:
             raise ValueError(f"g has no value for set member {p}")
-    require_budget(10 * (x + 1) + WORKING_BYTES_PER_N * min(segment_size, x), "certificate")
+    require_budget(WORKING_BYTES_PER_N * min(segment_size, x), "certificate")
 
-    f_full = np.zeros(x + 1, dtype=np.uint8)
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads):
-        f_full[seg.lo : seg.hi] = seg.values(tag)
-    coprime = np.zeros(x + 1, dtype=bool)
-    coprime[1:] = coprime_mask(1, x + 1, prime_set.members)
-    g_full = _g_segment_values(g, 0, x + 1)
-
-    count = 0
-    checked = 0
+    # (cutoff, level of r) per family; f <= 63 never reaches G_SATURATION.
+    families = []
     for p in members:
-        value = table[p]
-        power = p
-        a = 1
+        power, a = p, 1
         while power <= x:
-            target = value - a if tag == "big_omega" else value - 1
-            if target >= 0:
-                y = x // power
-                hits = coprime[1 : y + 1] & (f_full[1 : y + 1] == target)
-                r_values = np.nonzero(hits)[0] + 1
-                n_values = r_values * power
-                if not bool(np.all(f_full[n_values] == g_full[n_values])):
-                    raise RuntimeError(
-                        f"certificate witness failed at member {p}, exponent {a}"
-                    )
-                count += len(r_values)
-                checked += len(r_values)
-            power *= p
-            a += 1
+            target = table[p] - a if tag == "big_omega" else table[p] - 1
+            if 0 <= target < G_SATURATION:
+                families.append((x // power, target))
+            power, a = power * p, a + 1
+    cutoffs = sorted({y for y, _ in families})
+    snapshots: dict[int, np.ndarray] = {}
+    hist = np.zeros(G_SATURATION, dtype=np.int64)
+    checked = 0
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads):
+        f = seg.values(tag)
+        hits = np.zeros(len(f), dtype=np.uint8)  # members dividing n
+        want = np.zeros(len(f), dtype=np.uint8)  # capped g(p) of such a member p
+        for p in members:
+            hits[-seg.lo % p :: p] += 1
+            want[-seg.lo % p :: p] = min(table[p], G_SATURATION)
+        # r route: lift members' multiples above every kept level; snapshot at cutoffs.
+        levels = f + (hits != 0) * np.uint8(G_SATURATION)
+        start = 0
+        for y in cutoffs[len(snapshots) :]:
+            end = min(y + 1, seg.hi) - seg.lo
+            hist += np.bincount(levels[start:end], minlength=2 * G_SATURATION)[:G_SATURATION]
+            if y >= seg.hi:
+                break
+            snapshots[y], start = hist.copy(), end
+        # n route, with every witness checked against the full g table.
+        witness = (hits == 1) & (f == want)
+        found = int(np.count_nonzero(witness))
+        if np.count_nonzero(witness & (f == _g_segment_values(g, seg.lo, seg.hi))) != found:
+            raise RuntimeError(f"certificate witness failed in [{seg.lo}, {seg.hi})")
+        checked += found
+
+    count = sum(int(snapshots[y][level]) for y, level in families)
+    if count != checked:
+        raise RuntimeError(f"certificate routes disagree: {count} by r, {checked} by n")
     return count, checked
 
 

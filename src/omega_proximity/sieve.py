@@ -167,18 +167,18 @@ def _segment_factor_counts(
     extra = np.zeros(span, dtype=np.uint8)  # prime powers p**a with a >= 2
     found = np.ones(span, dtype=np.int64)
     for p in primes:
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
+        first = -lo % p  # offset of the first multiple of p
+        if first >= span:
             continue
-        sl = slice(start - lo, span, p)
+        sl = slice(first, span, p)
         omega[sl] += 1
         found[sl] *= p
         q = p * p
         while q < hi:
-            startq = ((lo + q - 1) // q) * q
-            if startq >= hi:
+            first = -lo % q
+            if first >= span:
                 break
-            sl = slice(startq - lo, span, q)
+            sl = slice(first, span, q)
             extra[sl] += 1
             found[sl] *= p
             q *= p

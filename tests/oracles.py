@@ -93,3 +93,23 @@ def eval_g_slow(n: int, table: dict[int, int]) -> int:
 def coincidence_count_slow(x: int, f_tag: str, table: dict[int, int]) -> int:
     f = omega_slow if f_tag == "omega" else big_omega_slow
     return sum(1 for n in range(1, x + 1) if f(n) == eval_g_slow(n, table))
+
+
+def certificate_count_slow(x: int, members: list[int], table: dict[int, int], f_tag: str) -> int:
+    """Certified count L by enumerating the witness families (p, a, r).
+
+    For each member p and each p**a <= x, counts r <= x // p**a coprime to
+    every member at level g(p) - a (big_omega) or g(p) - 1 (omega).
+    """
+    f = omega_slow if f_tag == "omega" else big_omega_slow
+    total = 0
+    for p in members:
+        power, a = p, 1
+        while power <= x:
+            target = table[p] - a if f_tag == "big_omega" else table[p] - 1
+            for r in range(1, x // power + 1):
+                if coprime_to_all(r, members) and f(r) == target:
+                    total += 1
+            power *= p
+            a += 1
+    return total

@@ -152,6 +152,19 @@ def test_capacity_exit_3(tmp_path, monkeypatch):
     assert run(["census", "--x", "2000000"], tmp_path) == 3
 
 
+def test_certificate_runs_in_segment_memory(tmp_path, monkeypatch, capsys):
+    # Whole-range certificate arrays would need about 71 MB at this x.
+    monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "40")
+    assert run(["certificate", "--x", "4000000"], tmp_path) == 0
+    assert "L = 476148 (witnesses checked: 476148)" in capsys.readouterr().out
+
+
+def test_missing_out_directory_is_created(tmp_path):
+    out = tmp_path / "new" / "dir"
+    assert run(["census", "--x", "100"], out) == 0
+    assert (out / "census_omega_x100.csv").is_file()
+
+
 def test_malformed_budget_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "lots")
     assert run(["census", "--x", "100"], tmp_path) == 2

@@ -87,7 +87,7 @@ def test_density_strictly_decreasing():
 def test_convergence_witness_for_square_growth():
     # partial sums of 1/s_j with s_j >= j^2 stay under 1/3 + integral of t^-2
     s = power_prime_set(2.0, 10_000)
-    assert s.recip_sum_1 + s.recip_sum_3 <= 1 / 3 + 1.0
+    assert sum(reciprocal_sums(s)) <= 1 / 3 + 1.0
 
 
 def test_coprime_count_example():

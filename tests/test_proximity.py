@@ -1,8 +1,11 @@
 """Coincidence counts, certificate lower bounds, reports, diagnostics."""
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omega_proximity.census import census
 from omega_proximity.gfunction import GEntry, GFunction, build_g
@@ -17,7 +20,11 @@ from omega_proximity.proximity import (
     report_json_dict,
 )
 
-from oracles import coincidence_count_slow
+from oracles import certificate_count_slow, coincidence_count_slow
+
+
+def _table_g(table):
+    return GFunction(None, None, "big_omega", tuple(GEntry(p, v, None, None, False) for p, v in table.items()))
 
 
 def test_identity_counts_primes():
@@ -39,12 +46,57 @@ def test_count_matches_slow_oracle(power_set_5):
 def test_count_saturates_huge_table_values(big):
     # 2**62 + 1 times 4 used to wrap around in int64 and fake matches.
     table = {3: big, 5: 4}
-    g = GFunction(None, None, "big_omega", tuple(GEntry(p, v, None, None, False) for p, v in table.items()))
+    g = _table_g(table)
     for tag in ("omega", "big_omega"):
         assert coincidence_count(1000, tag, g) == coincidence_count_slow(1000, tag, table)
     assert coincidence_count(1000, "big_omega", g) == 191
     l_count, checked = certificate_count(1000, PrimeSetS.from_members([3, 5]), g)
     assert l_count == checked <= 191
+
+
+@st.composite
+def _sets_and_tables(draw):
+    odd = draw(st.lists(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
+                        min_size=1, max_size=4, unique=True))
+    members = sorted(odd)
+    if draw(st.booleans()):
+        members = [2] + members[:3]
+    values = st.one_of(st.integers(0, 6), st.just(2**62 + 1))
+    return members, {p: draw(values) for p in members}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_sets_and_tables(),
+    x=st.integers(1, 2500),
+    f_tag=st.sampled_from(["omega", "big_omega"]),
+    segment_size=st.sampled_from([64, 1 << 20]),
+    threads=st.sampled_from([1, 2]),
+)
+def test_certificate_matches_slow_oracle(case, x, f_tag, segment_size, threads):
+    members, table = case
+    want = certificate_count_slow(x, members, table, f_tag)
+    got = certificate_count(x, PrimeSetS.from_members(members), _table_g(table), f_tag, segment_size, threads)
+    assert got == (want, want)
+
+
+def test_certificate_rejects_table_prime_outside_set():
+    # Witnesses r * 3**a with 7 | r have g(n) = 4 != big_omega(n).
+    g = _table_g({3: 2, 5: 3, 7: 2})
+    with pytest.raises(RuntimeError):
+        certificate_count(1000, PrimeSetS.from_members([3, 5]), g)
+
+
+def test_certificate_memory_is_per_segment(power_set_5):
+    # Arrays over all of [0, x] at 10 bytes per integer would take 20 MB here.
+    g = build_g(2_000_000, power_set_5, "big_omega")
+    tracemalloc.start()
+    try:
+        certificate_count(2_000_000, power_set_5, g, segment_size=1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_count_monotone_in_x(power_set_5):
