@@ -18,11 +18,12 @@ BUDGET_ENV_VAR = "OMEGA_PROXIMITY_BUDGET"
 DEFAULT_BUDGET_MB = 2048
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Working set of one segment, per integer: the sieve kernel's int64 product of
-# found prime powers and int64 arange (8 B each) with uint8 omega, extra,
-# big_omega and a bool compare, about 20 B; after it, the certificate's uint8
-# hits, want and levels, uint16 g values and bincount's int64 copy of levels,
-# about 14 B.  The cap of 32 also covers numpy temporaries.
+# Working set of one segment, per integer: the sieve kernel's product of found
+# prime powers and its arange (4 B each below 2**32, 8 B above) with uint8
+# omega, extra, big_omega and a bool compare, about 12 B (20 B above 2**32);
+# after it, the certificate's uint8 hits, want and levels, uint16 g values
+# and bincount's int64 copy of levels, about 14 B.  The cap of 32 also covers
+# numpy temporaries.
 WORKING_BYTES_PER_N = 32
 
 

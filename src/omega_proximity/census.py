@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
+from .budget import DEFAULT_SEGMENT_SIZE
 from .primeset import PrimeSetS, coprime_mask
 from .sieve import iter_factor_segments
 
@@ -133,7 +133,6 @@ def concentration_tail(
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     threshold = math.log(math.log(x)) ** (1.0 + delta)
-    require_budget(WORKING_BYTES_PER_N * min(segment_size, x) * max(1, threads), "tail scan")
     total = 0
     for seg in iter_factor_segments(2, x + 1, segment_size, threads):
         n = np.arange(seg.lo, seg.hi, dtype=np.float64)

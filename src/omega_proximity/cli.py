@@ -27,7 +27,7 @@ from .census import (
     write_census_csv,
     write_census_metadata,
 )
-from .errors import CapacityError
+from .errors import CapacityError, CertificateError
 from .gfunction import GFunction, build_g, g_to_json_text
 from .primeset import (
     PrimeSetS,
@@ -446,12 +446,12 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

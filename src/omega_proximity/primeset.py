@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE, iter_ranges, require_budget
-from .sieve import _pipelined, is_prime, next_prime
+from .sieve import _pipelined, _worker_count, is_prime, next_prime
 
 # A signed 64-bit floor value is the largest anchor we report exactly.
 _INT64_MAX = (1 << 63) - 1
@@ -167,6 +167,7 @@ def coprime_count(
     if y == 0:
         return 0
     members = _members_of(s)
+    threads = _worker_count(threads)
     require_budget(min(segment_size, y) * max(1, threads), "coprime marking")
 
     def worker(span: tuple[int, int]) -> int:

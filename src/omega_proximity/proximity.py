@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
-from .census import CensusTable, census, mode_k, normalize_f
+from .census import normalize_f
+from .errors import CertificateError
 from .gfunction import GFunction
 from .primeset import PrimeSetS
 from .sieve import iter_factor_segments, primes_up_to
@@ -97,7 +98,6 @@ def coincidence_count(
     if x == 0:
         return 0
     tag = normalize_f(f_tag)
-    require_budget(WORKING_BYTES_PER_N * min(segment_size, x) * max(1, threads), "coincidence scan")
     total = 0
     for seg in iter_factor_segments(1, x + 1, segment_size, threads):
         gv = _g_segment_values(g, seg.lo, seg.hi)
@@ -128,7 +128,7 @@ def certificate_count(
     with f(n) = g(p); v_p(n) = a since r is coprime to every member, so
     these are the same witnesses, and each is checked against f(n) = g(n)
     over the whole g table.  Returns (count, witnesses_checked); a failed
-    check or routes that disagree raise RuntimeError.
+    check or routes that disagree raise CertificateError.
     """
     tag = normalize_f(f_tag)
     members = [p for p in prime_set.members if p <= x]
@@ -173,12 +173,12 @@ def certificate_count(
         witness = (hits == 1) & (f == want)
         found = int(np.count_nonzero(witness))
         if np.count_nonzero(witness & (f == _g_segment_values(g, seg.lo, seg.hi))) != found:
-            raise RuntimeError(f"certificate witness failed in [{seg.lo}, {seg.hi})")
+            raise CertificateError(f"certificate witness failed in [{seg.lo}, {seg.hi})")
         checked += found
 
     count = sum(int(snapshots[y][level]) for y, level in families)
     if count != checked:
-        raise RuntimeError(f"certificate routes disagree: {count} by r, {checked} by n")
+        raise CertificateError(f"certificate routes disagree: {count} by r, {checked} by n")
     return count, checked
 
 
@@ -262,7 +262,6 @@ def write_report_json(report: ProximityReport, config_hash: str, path: str) -> N
 def phi_diagnostics(
     x: int,
     f_tag: str,
-    table: CensusTable | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> PhiDiagnostics:
@@ -272,38 +271,41 @@ def phi_diagnostics(
     rising k_of_x is the empirical trend that keeps every single level a
     vanishing share of the integers.
 
-    Parameters
-    ----------
-    table : CensusTable, optional
-        Reuse a precomputed unrestricted census of the same x and f
-        instead of sieving again.
+    One sweep of [1, x] fills a level histogram and writes 1/p for each
+    prime (big_omega == 1) into a buffer sized by pi(x) < 1.25506 x / ln x
+    (Rosser-Schoenfeld), ascending whatever the segments or threads.  The
+    exponent-1 terms are np.sum over it: the pairwise summation tree depends
+    only on the length, so the floats match summing a prime table; math.fsum
+    would round differently and change the printed A and B.
     """
     if x < 2:
         raise ValueError(f"phi_diagnostics requires x >= 2, got {x}")
     tag = normalize_f(f_tag)
-    primes = primes_up_to(x).primes
-    inv = 1.0 / primes
+    cap = int(1.25506 * x / math.log(x)) + 1
+    require_budget(8 * cap + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
+    recips = np.empty(cap, dtype=np.float64)  # unwritten pages are never faulted in
+    levels = np.zeros(256, dtype=np.int64)
+    k = 0
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads):
+        levels += np.bincount(seg.values(tag), minlength=256)
+        ps = np.flatnonzero(seg.big_omega == 1) + seg.lo
+        np.divide(1.0, ps, out=recips[k : k + len(ps)])
+        k += len(ps)
+    recips = recips[:k]
     # Exponent 1 terms: f(p) = 1 for both tags.
-    a_sum = float(np.sum(1.0 - inv))
-    b_sum = float(np.sum(inv))
+    b_sum = float(np.sum(recips))
+    np.subtract(1.0, recips, out=recips)
+    a_sum = float(np.sum(recips))
     # Higher powers exist only for p <= sqrt(x).
-    for p in primes[primes <= math.isqrt(x)]:
-        p = int(p)
+    for p in primes_up_to(max(2, math.isqrt(x))).primes.tolist():
         weight = 1.0 - 1.0 / p
-        power = p * p
-        a = 2
+        power, a = p * p, 2
         while power <= x:
             fv = 1 if tag == "omega" else a
             a_sum += fv * weight
             b_sum += (fv * fv) / power
-            power *= p
-            a += 1
-    if table is not None:
-        if table.x != x or table.f_tag != tag or table.restricted_to is not None:
-            raise ValueError("supplied census does not match x and f")
-    else:
-        table = census(x, tag, segment_size=segment_size, threads=threads)
-    _, max_count = mode_k(table)
+            power, a = power * p, a + 1
+    max_count = int(levels.max())
     return PhiDiagnostics(x, tag, a_sum, b_sum, b_sum / a_sum, max_count, x / max_count)
 
 

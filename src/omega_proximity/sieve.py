@@ -6,13 +6,14 @@ integer ranges, an odd-only prime enumerator, a primality check, and a slow
 trial-division factorizer used as the independent cross-check for the sieve.
 
 The segment kernel never divides: it multiplies the prime powers it finds
-into an int64 product and compares that product with n to detect the one
-prime factor above sqrt(n) a number can have.
+into a product (uint32 below 2**32, int64 above) and compares it with n to
+detect the one prime factor above sqrt(n) a number can have.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -159,13 +160,14 @@ def _segment_factor_counts(
 
     No division: found[i] is the part of n = lo + i made of sieve primes,
     the product of every p**a dividing n.  It divides n, so it cannot
-    overflow, and n has a prime factor above sqrt(hi - 1) exactly when
-    found < n.
+    overflow a uint32 when hi <= 2**32 or an int64 above, and n has a
+    prime factor above sqrt(hi - 1) exactly when found < n.
     """
     span = hi - lo
+    dtype = np.uint32 if hi <= 1 << 32 else np.int64
     omega = np.zeros(span, dtype=np.uint8)
     extra = np.zeros(span, dtype=np.uint8)  # prime powers p**a with a >= 2
-    found = np.ones(span, dtype=np.int64)
+    found = np.ones(span, dtype=dtype)
     for p in primes:
         first = -lo % p  # offset of the first multiple of p
         if first >= span:
@@ -184,8 +186,13 @@ def _segment_factor_counts(
             q *= p
     # The cofactor n // found is 1 or a single prime > sqrt(n), which adds
     # one to both counts.
-    omega += (found < np.arange(lo, hi, dtype=np.int64)).view(np.uint8)
+    omega += (found < np.arange(lo, hi, dtype=dtype)).view(np.uint8)
     return omega, omega + extra
+
+
+def _worker_count(threads: int) -> int:
+    """threads capped at the machine's CPU count; more would only contend."""
+    return min(threads, os.cpu_count() or 1)
 
 
 def _pipelined(worker: Callable, items: Iterable, threads: int) -> Iterator:
@@ -214,11 +221,13 @@ def iter_factor_segments(
 
     Segment boundaries never change the counts; workers share only the
     read-only prime table, so results are identical for any threads value.
+    threads is capped at the machine's CPU count.
     """
     if lo < 1 or hi <= lo:
         raise ValueError(f"need 1 <= lo < hi, got lo={lo}, hi={hi}")
     if segment_size < MIN_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
+    threads = _worker_count(threads)
     require_budget(
         WORKING_BYTES_PER_N * min(segment_size, hi - lo) * max(1, threads),
         "segmented sieve",

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def is_prime_slow(n: int) -> bool:
     if n < 2:
@@ -113,3 +115,26 @@ def certificate_count_slow(x: int, members: list[int], table: dict[int, int], f_
             power *= p
             a += 1
     return total
+
+
+def phi_slow(x: int, f_tag: str) -> tuple[float, float, float, int]:
+    """A, B, phi and the largest level count at x, summed in a fixed order.
+
+    The exponent-1 terms are np.sum over ascending float64 arrays of 1 - 1/p
+    and 1/p; the terms of p**a with a >= 2 are then added one at a time,
+    p ascending and a ascending within each p.
+    """
+    primes = [p for p in range(2, x + 1) if is_prime_slow(p)]
+    inv = 1.0 / np.array(primes, dtype=np.float64)
+    a_sum = float(np.sum(1.0 - inv))
+    b_sum = float(np.sum(inv))
+    for p in primes:
+        weight = 1.0 - 1.0 / p
+        power, a = p * p, 2
+        while power <= x:
+            fv = 1 if f_tag == "omega" else a
+            a_sum += fv * weight
+            b_sum += (fv * fv) / power
+            power *= p
+            a += 1
+    return a_sum, b_sum, b_sum / a_sum, max(census_slow(x, f_tag).values())

@@ -274,10 +274,13 @@ def test_c09_growth_report_ratios(full_report):
 def test_c10_phi_diagnostics(omega_census_by_x):
     small = phi_diagnostics(3, "omega")
     exact = abs(small.a_sum - 7 / 6) <= 1e-12 and abs(small.b_sum - 5 / 6) <= 1e-12
-    lo = phi_diagnostics(10_000, "omega", table=omega_census_by_x[10_000])
-    hi = phi_diagnostics(10_000_000, "omega", table=omega_census_by_x[10_000_000])
+    lo = phi_diagnostics(10_000, "omega")
+    hi = phi_diagnostics(10_000_000, "omega")
+    busiest = all(
+        d.max_level_count == mode_k(omega_census_by_x[d.x])[1] for d in (lo, hi)
+    )
     trends = hi.phi < lo.phi and hi.k_of_x > lo.k_of_x
-    ok = exact and trends
+    ok = exact and busiest and trends
     line(
         "phi-diagnostics",
         ok,
@@ -285,6 +288,7 @@ def test_c10_phi_diagnostics(omega_census_by_x):
         f"phi 1e4={lo.phi:.3e} -> 1e7={hi.phi:.3e}; K 1e4={lo.k_of_x:.3f} -> 1e7={hi.k_of_x:.3f}",
     )
     assert exact
+    assert busiest
     assert trends
 
 

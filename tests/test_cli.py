@@ -147,9 +147,30 @@ def test_count_rejects_invalid_g_table(tmp_path, capsys):
     assert not (tmp_path / "count_bigomega_x100.json").exists()
 
 
+def test_certificate_check_failure_exit_1(tmp_path, capsys):
+    # Witnesses r * 3**a with 7 | r have g(n) = 4 != big_omega(n).
+    g_path = tmp_path / "bad.json"
+    g_path.write_text(json.dumps({
+        "f": "big_omega",
+        "set": {"members": [3, 5]},
+        "table": [{"prime": 3, "value": 2}, {"prime": 5, "value": 3}, {"prime": 7, "value": 2}],
+    }))
+    assert run(["certificate", "--x", "1000", "--g", str(g_path)], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: certificate witness failed in [1, 1001)"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "certificate_bigomega_x1000.json").exists()
+
+
 def test_capacity_exit_3(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "1")
     assert run(["census", "--x", "2000000"], tmp_path) == 3
+
+
+def test_phi_beyond_budget_exit_3(tmp_path, capsys):
+    # The 1/p buffer alone would need hundreds of GB: refused before any sweep.
+    assert run(["phi", "--x", "1000000000000"], tmp_path) == 3
+    assert "phi diagnostics needs about" in capsys.readouterr().err
 
 
 def test_certificate_runs_in_segment_memory(tmp_path, monkeypatch, capsys):

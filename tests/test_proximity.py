@@ -4,10 +4,10 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omega_proximity.census import census
+from omega_proximity.census import census, mode_k
 from omega_proximity.gfunction import GEntry, GFunction, build_g
 from omega_proximity.primeset import PrimeSetS
 from omega_proximity.proximity import (
@@ -20,7 +20,7 @@ from omega_proximity.proximity import (
     report_json_dict,
 )
 
-from oracles import certificate_count_slow, coincidence_count_slow
+from oracles import certificate_count_slow, coincidence_count_slow, phi_slow
 
 
 def _table_g(table):
@@ -203,14 +203,39 @@ def test_phi_small_exact():
 
 
 def test_phi_census_reuse():
-    t = census(5000, "omega")
-    fresh = phi_diagnostics(5000, "omega")
-    reused = phi_diagnostics(5000, "omega", table=t)
-    assert fresh == reused
-    with pytest.raises(ValueError):
-        phi_diagnostics(5000, "omega", table=census(4999, "omega"))
+    # phi's own sweep finds the same busiest level as a separate census.
+    for tag in ("omega", "big_omega"):
+        d = phi_diagnostics(5000, tag)
+        assert d.max_level_count == mode_k(census(5000, tag))[1]
+        assert d.k_of_x == 5000 / d.max_level_count
     with pytest.raises(ValueError):
         phi_diagnostics(1, "omega")
+
+
+@settings(max_examples=10, deadline=None)
+@given(x=st.integers(2, 20_000), tag=st.sampled_from(["omega", "big_omega"]))
+@example(x=65_535, tag="omega")
+@example(x=65_536, tag="big_omega")
+@example(x=65_537, tag="omega")
+def test_phi_matches_slow_oracle_bit_for_bit(x, tag):
+    a_sum, b_sum, phi, max_count = phi_slow(x, tag)
+    for segment_size in (64, 1000, 1 << 20):
+        for threads in (1, 2):
+            d = phi_diagnostics(x, tag, segment_size=segment_size, threads=threads)
+            got = (repr(d.a_sum), repr(d.b_sum), repr(d.phi), d.max_level_count)
+            assert got == (repr(a_sum), repr(b_sum), repr(phi), max_count), (segment_size, threads)
+
+
+def test_phi_memory_is_per_segment_plus_primes():
+    # A prime table up to x with its float copies would take about 6.5 MB
+    # here; the 1/p buffer is 8 bytes per prime <= x.
+    tracemalloc.start()
+    try:
+        phi_diagnostics(4_000_000, "omega", segment_size=1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_phi_json_payload():

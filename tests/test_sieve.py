@@ -1,14 +1,18 @@
 """Sieve layer against the trial-division oracles."""
 
 import math
+import os
 import random
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from omega_proximity import sieve
 from omega_proximity.errors import CapacityError
+from omega_proximity.primeset import coprime_count
 from omega_proximity.sieve import (
     factorize,
     is_prime,
@@ -130,15 +134,55 @@ def test_thread_count_independence():
     span=st.integers(1, 256),
 )
 @example(lo=10**11 - 256, span=256)
+@example(lo=2**32 - 256, span=256)
+@example(lo=2**32 - 128, span=256)
+@example(lo=2**32, span=256)
 def test_sieve_windows_match_factorize(lo, span):
     # Windows from 10^4 to 10^11, one decimal order drawn at a time, split
-    # into segments of 64 so that two threads really pipeline.
+    # into segments of 64 so that two threads really pipeline.  The kernel's
+    # product is uint32 for segments ending at or below 2**32 and int64
+    # above; the explicit windows below, at and across 2**32 cover both.
     want = [factorize(n) for n in range(lo, lo + span)]
     for threads in (1, 2):
         seg = sieve_census(lo, lo + span, segment_size=64, threads=threads)
         for n, fs in zip(range(lo, lo + span), want):
             assert seg.omega_of(n) == len(set(fs)), (n, threads)
             assert seg.big_omega_of(n) == len(fs), (n, threads)
+
+
+def test_threads_capped_at_cpu_count(monkeypatch):
+    # A synchronous stand-in for the pool records the worker count asked
+    # for; no thread is started.
+    asked = []
+
+    class SyncPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sieve, "ThreadPoolExecutor", SyncPool)
+    # Uncapped, 10**6 threads of 1024-integer segments would also fail the
+    # default 2048 MB budget.
+    capped = sieve_census(1, 20_000, segment_size=1024, threads=10**6)
+    assert asked == [2]
+    base = sieve_census(1, 20_000, segment_size=1024)
+    assert np.array_equal(capped.omega, base.omega)
+    assert np.array_equal(capped.big_omega, base.big_omega)
+    # coprime_count runs its own pool.
+    members = [3, 5, 7]
+    assert coprime_count(20_000, members, 1024, threads=10**6) == coprime_count(20_000, members, 1024)
+    assert asked == [2, 2]
 
 
 def test_additivity_on_coprime_pairs():
