@@ -12,14 +12,11 @@ from .census import (
     levels_in_interval,
     mode_k,
     normalize_f,
-    write_census_csv,
 )
 from .errors import CapacityError, CertificateError, ScaleError
 from .gfunction import GEntry, GFunction, MaximizerRecord, build_g, compute_maximizer
 from .primeset import (
     PrimeSetS,
-    anchor_scale,
-    coprime_count,
     coprime_count_inclusion_exclusion,
     coprime_mask,
     density_constant,
@@ -35,8 +32,6 @@ from .proximity import (
     coincidence_count,
     growth_report,
     phi_diagnostics,
-    write_report_csv,
-    write_report_json,
 )
 from .sieve import (
     FactorCensus,
@@ -68,7 +63,6 @@ __all__ = [
     "ProximityReport",
     "ReportRow",
     "ScaleError",
-    "anchor_scale",
     "build_g",
     "census",
     "certificate_count",
@@ -76,7 +70,6 @@ __all__ = [
     "compute_maximizer",
     "concentration_interval",
     "concentration_tail",
-    "coprime_count",
     "coprime_count_inclusion_exclusion",
     "coprime_mask",
     "density_constant",
@@ -96,7 +89,4 @@ __all__ = [
     "reciprocal_sums",
     "sieve_census",
     "threshold_prime_set",
-    "write_census_csv",
-    "write_report_csv",
-    "write_report_json",
 ]

@@ -9,7 +9,6 @@ All logarithms are natural.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -166,16 +165,11 @@ def levels_in_interval(table: CensusTable, window: ConcentrationInterval) -> int
 
 
 def census_csv_lines(table: CensusTable) -> list[str]:
+    """CSV with header k,count; one row per occupied level, ascending."""
     lines = ["k,count"]
     for k in sorted(table.counts):
         lines.append(f"{k},{table.counts[k]}")
     return lines
-
-
-def write_census_csv(table: CensusTable, path: str) -> None:
-    """CSV with header k,count; one row per occupied level, ascending."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(census_csv_lines(table)) + "\n")
 
 
 def census_metadata(table: CensusTable, csv_name: str, config_hash: str) -> dict:
@@ -192,9 +186,3 @@ def census_metadata(table: CensusTable, csv_name: str, config_hash: str) -> dict
         "csv": csv_name,
         "config_hash": config_hash,
     }
-
-
-def write_census_metadata(table: CensusTable, csv_name: str, config_hash: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(census_metadata(table, csv_name, config_hash), fh, indent=2)
-        fh.write("\n")

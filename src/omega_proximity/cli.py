@@ -20,32 +20,31 @@ import sys
 from .budget import DEFAULT_SEGMENT_SIZE
 from .census import (
     census,
+    census_csv_lines,
+    census_metadata,
     concentration_interval,
     levels_in_interval,
     mode_k,
-    normalize_f,
-    write_census_csv,
-    write_census_metadata,
 )
 from .errors import CapacityError, CertificateError
-from .gfunction import GFunction, build_g, g_to_json_text
+from .gfunction import GFunction, build_g
 from .primeset import (
     PrimeSetS,
-    coprime_count,
     coprime_count_inclusion_exclusion,
     power_prime_set,
     threshold_prime_set,
 )
 from .proximity import (
+    REPORT_CSV_HEADER,
     certificate_count,
     coincidence_count,
     growth_report,
     phi_diagnostics,
     phi_json_dict,
-    write_report_csv,
-    write_report_json,
+    report_csv_lines,
+    report_json_dict,
 )
-from .sieve import factorize, sieve_census
+from .sieve import MAX_X, factorize, sieve_census
 
 F_FLAG = {"omega": "omega", "bigomega": "big_omega"}
 DEFAULT_GRID = "10000,100000,1000000,10000000"
@@ -56,9 +55,16 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _parse_grid(raw: str) -> list[int]:
-    vals = [part for part in raw.split(",") if part.strip()]
-    return [int(v) for v in vals]
+def sweep_bound(raw: str) -> int:
+    """An x whose sweep of [1, x] fits the kernel's int64 range."""
+    value = int(raw)
+    if value > MAX_X:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_X}, got {value}")
+    return value
+
+
+def grid_values(raw: str) -> list[int]:
+    return [sweep_bound(part) for part in raw.split(",") if part.strip()]
 
 
 def positive_int(raw: str) -> int:
@@ -69,26 +75,23 @@ def positive_int(raw: str) -> int:
 
 
 def _build_set(args: argparse.Namespace) -> PrimeSetS:
-    count = args.count if args.count is not None else 5
     if args.set == "paper":
-        delta = args.delta if args.delta is not None else 0.5
-        return threshold_prime_set(delta, count)
-    exponent = args.param if args.param is not None else 2.0
-    return power_prime_set(exponent, count)
+        return threshold_prime_set(args.delta, args.count)
+    return power_prime_set(args.param, args.count)
 
 
 def _set_payload(args: argparse.Namespace) -> dict:
-    return {
-        "set": args.set,
-        "count": args.count if args.count is not None else 5,
-        "delta": args.delta if args.delta is not None else 0.5,
-        "param": args.param if args.param is not None else 2.0,
-    }
+    return {"set": args.set, "count": args.count, "delta": args.delta, "param": args.param}
 
 
 def _load_g(path: str) -> GFunction:
     with open(path, "r", encoding="utf-8") as fh:
-        return GFunction.from_json_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return GFunction.from_json_dict(doc)
+    except (KeyError, TypeError, AttributeError) as exc:
+        # A field missing or of the wrong JSON type: bad input, not a bug.
+        raise ValueError(f"malformed g file {path}: {exc!r}") from exc
 
 
 def _resolve_g(args: argparse.Namespace, x: int, tag: str) -> tuple[GFunction, PrimeSetS | None, dict]:
@@ -107,6 +110,10 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_lines(path: str, lines: list[str]) -> None:
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
@@ -123,8 +130,8 @@ def cmd_census(args: argparse.Namespace) -> int:
     base = f"census_{args.f}_x{args.x}{suffix}"
     csv_path = os.path.join(args.out, base + ".csv")
     meta_path = os.path.join(args.out, base + ".meta.json")
-    write_census_csv(table, csv_path)
-    write_census_metadata(table, os.path.basename(csv_path), digest, meta_path)
+    _write_lines(csv_path, census_csv_lines(table))
+    _write_json(meta_path, census_metadata(table, os.path.basename(csv_path), digest))
     k_star, best = mode_k(table)
     print(f"census: x={args.x} f={tag} total={table.total()} mode_k={k_star} mode_count={best}")
     print(f"wrote {csv_path}")
@@ -196,30 +203,29 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
-    grid = _parse_grid(args.grid)
     csv_path = os.path.join(args.out, "report.csv")
     json_path = os.path.join(args.out, "report.json")
-    if not grid:
+    if not args.grid:
         payload = {"command": "report", "grid": [], "f": tag, "eps": args.eps}
         digest = config_hash(payload)
-        _write_text(csv_path, "x,f,E,L,loglogx,eps,ratio_E,ratio_L\n")
+        _write_lines(csv_path, [REPORT_CSV_HEADER])
         _write_json(json_path, {"f": tag, "eps": args.eps, "rows": [], "config_hash": digest})
         print("empty grid: wrote header-only report")
         print(f"wrote {csv_path}")
         print(f"wrote {json_path}")
         return 0
-    g, pset, g_payload = _resolve_g(args, max(grid), tag)
-    report = growth_report(grid, args.eps, tag, pset, g, args.segment_size, args.threads)
+    g, pset, g_payload = _resolve_g(args, max(args.grid), tag)
+    report = growth_report(args.grid, args.eps, tag, pset, g, args.segment_size, args.threads)
     payload = {
         "command": "report",
-        "grid": sorted(set(grid)),
+        "grid": sorted(set(args.grid)),
         "f": tag,
         "eps": args.eps,
         **g_payload,
     }
     digest = config_hash(payload)
-    write_report_csv(report, csv_path)
-    write_report_json(report, digest, json_path)
+    _write_lines(csv_path, report_csv_lines(report))
+    _write_json(json_path, report_json_dict(report, digest))
     for row in report.rows:
         print(
             f"x={row.x} E={row.e_count} L={row.l_count} "
@@ -274,17 +280,12 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     ok = t100.get(1) == 35 and e100 == 25
     checks.append(("level-counts-at-100", ok, "35 one-prime levels, 25 identity matches"))
 
-    # Restricted census totals match the coprime count.
+    # The restricted census total, counted by marking, matches inclusion-exclusion.
     pset = power_prime_set(2.0, 5)
     t_res = census(x, "big_omega", pset, seg, threads)
-    cc = coprime_count(x, pset, seg, threads)
+    cc = coprime_count_inclusion_exclusion(x, pset)
     ok = t_res.total() == cc
     checks.append(("restricted-partition", ok, f"coprime total {cc}"))
-
-    # The two coprime-count routes agree.
-    y = min(x, 100_000)
-    ok = coprime_count(y, pset, seg, threads) == coprime_count_inclusion_exclusion(y, pset)
-    checks.append(("coprime-dual-route", ok, f"y={y}"))
 
     # Certificate soundness end to end.
     g = build_g(x, pset, "big_omega", seg, threads)
@@ -335,7 +336,7 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
             rebuilt = build_g(loaded.x, loaded.prime_set, loaded.f_tag, seg, threads)
             ok = rebuilt.entries == loaded.entries
             detail = "table matches rebuild" if ok else "table differs from rebuild"
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             ok = False
             detail = f"unreadable or inconsistent: {exc}"
         checks.append(("g-file-integrity", ok, detail))
@@ -357,7 +358,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser, with_x: bool = True) -> None:
     if with_x:
-        p.add_argument("--x", type=int, required=True, help="inclusive upper bound")
+        p.add_argument("--x", type=sweep_bound, required=True, help="inclusive upper bound")
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
                    help="sieve chunk length (>= 64)")
     p.add_argument("--threads", type=positive_int, default=1,
@@ -368,11 +369,11 @@ def _add_common(p: argparse.ArgumentParser, with_x: bool = True) -> None:
 def _add_set_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", choices=("paper", "power"), default="power",
                    help="prime-set rule: threshold j**(1+delta) from 2, or odd j**param")
-    p.add_argument("--param", type=float, default=None,
+    p.add_argument("--param", type=float, default=2.0,
                    help="exponent for --set power (default 2)")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=float, default=0.5,
                    help="threshold exponent offset for --set paper (default 0.5)")
-    p.add_argument("--count", type=int, default=None, help="number of members (default 5)")
+    p.add_argument("--count", type=int, default=5, help="number of members (default 5)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -413,7 +414,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="growth ratios across a grid of x")
     _add_common(p, with_x=False)
-    p.add_argument("--grid", default=DEFAULT_GRID,
+    p.add_argument("--grid", type=grid_values, default=DEFAULT_GRID,
                    help="comma-separated x values (empty for header-only output)")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--f", choices=sorted(F_FLAG), default="bigomega")
@@ -422,7 +423,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="run the self-check suite; exit 1 on any failure")
-    p.add_argument("--x", type=int, default=10_000, help="scale for the checks")
+    p.add_argument("--x", type=sweep_bound, default=10_000, help="scale for the checks")
     p.add_argument("--g", default=None, help="also validate this g JSON file")
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
     p.add_argument("--threads", type=positive_int, default=1)

@@ -9,7 +9,6 @@ divide n, never on their exponents.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 
@@ -125,10 +124,6 @@ class GFunction:
             for row in d["table"]
         )
         return cls(d.get("x"), pset, normalize_f(d.get("f", "big_omega")), entries)
-
-
-def g_to_json_text(g: GFunction) -> str:
-    return json.dumps(g.to_json_dict(), indent=2) + "\n"
 
 
 def compute_maximizer(

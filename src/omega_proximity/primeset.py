@@ -1,24 +1,19 @@
 """Sparse prime sets with mod-4 residue tags.
 
 Responsibility: build the two sparse set families used by the g
-constructions, and compute their reciprocal sums, coprime density, and
-exact coprime counts (by segment marking and, independently, by
-inclusion-exclusion).
+constructions, and compute their reciprocal sums, coprime density, the
+coprime mask the restricted census counts with, and exact coprime counts
+by inclusion-exclusion, the independent check on that census.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budget import DEFAULT_SEGMENT_SIZE, iter_ranges, require_budget
-from .sieve import _pipelined, _worker_count, is_prime, next_prime
-
-# A signed 64-bit floor value is the largest anchor we report exactly.
-_INT64_MAX = (1 << 63) - 1
+from .sieve import is_prime, next_prime
 
 
 @dataclass(frozen=True)
@@ -155,34 +150,15 @@ def coprime_mask(lo: int, hi: int, members: Sequence[int]) -> np.ndarray:
     return mask
 
 
-def coprime_count(
-    y: int,
-    s: "PrimeSetS | Sequence[int]",
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
-) -> int:
-    """Exact #{n <= y : gcd(n, prod members) = 1} by segment marking."""
-    if y < 0:
-        raise ValueError(f"coprime_count requires y >= 0, got {y}")
-    if y == 0:
-        return 0
-    members = _members_of(s)
-    threads = _worker_count(threads)
-    require_budget(min(segment_size, y) * max(1, threads), "coprime marking")
-
-    def worker(span: tuple[int, int]) -> int:
-        a, b = span
-        return int(coprime_mask(a, b, members).sum())
-
-    return sum(_pipelined(worker, iter_ranges(1, y + 1, segment_size), threads))
-
-
 def coprime_count_inclusion_exclusion(y: int, s: "PrimeSetS | Sequence[int]") -> int:
-    """Exact coprime count as a signed sum of floor(y/d) over squarefree
-    divisors d of the member product; the independent route to the same
-    number as coprime_count."""
+    """Exact #{n <= y : gcd(n, prod members) = 1} as a signed sum of
+    floor(y/d) over squarefree divisors d of the member product.
+
+    It never marks a range, so it checks the total of a census restricted
+    to the same set independently of coprime_mask.
+    """
     if y < 0:
-        raise ValueError(f"coprime_count requires y >= 0, got {y}")
+        raise ValueError(f"coprime_count_inclusion_exclusion requires y >= 0, got {y}")
     members = _members_of(s)
 
     def signed(limit: int, idx: int) -> int:
@@ -197,21 +173,3 @@ def coprime_count_inclusion_exclusion(y: int, s: "PrimeSetS | Sequence[int]") ->
 
     return signed(y, 0)
 
-
-def anchor_scale(j: int) -> tuple[int, int | None]:
-    """Doubly exponential anchor at position j >= 1.
-
-    Returns (2**j, floor(exp(exp(2**j)))) with the floor omitted (None)
-    once it no longer fits in a signed 64-bit integer; that happens for
-    every j >= 2.
-    """
-    if j < 1:
-        raise ValueError(f"anchor_scale requires j >= 1, got {j}")
-    inner = 2**j
-    # exp(exp(inner)) > 2**63 whenever exp(inner) > 63*log 2 ~ 43.67.
-    if inner > 60 or math.exp(inner) > math.log(_INT64_MAX):
-        return inner, None
-    value = math.exp(math.exp(inner))
-    if value > _INT64_MAX:
-        return inner, None
-    return inner, math.floor(value)

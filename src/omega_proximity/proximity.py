@@ -10,7 +10,6 @@ an additive function can get.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -138,7 +137,6 @@ def certificate_count(
     for p in members:
         if p not in table:
             raise ValueError(f"g has no value for set member {p}")
-    require_budget(WORKING_BYTES_PER_N * min(segment_size, x), "certificate")
 
     # (cutoff, level of r) per family; f <= 63 never reaches G_SATURATION.
     families = []
@@ -217,19 +215,17 @@ def growth_report(
     return ProximityReport(tag, eps, prime_set, g, tuple(rows))
 
 
+REPORT_CSV_HEADER = "x,f,E,L,loglogx,eps,ratio_E,ratio_L"
+
+
 def report_csv_lines(report: ProximityReport) -> list[str]:
-    lines = ["x,f,E,L,loglogx,eps,ratio_E,ratio_L"]
+    lines = [REPORT_CSV_HEADER]
     for r in report.rows:
         lines.append(
             f"{r.x},{report.f_tag},{r.e_count},{r.l_count},"
             f"{r.loglogx!r},{report.eps!r},{r.ratio_e!r},{r.ratio_l!r}"
         )
     return lines
-
-
-def write_report_csv(report: ProximityReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(report_csv_lines(report)) + "\n")
 
 
 def report_json_dict(report: ProximityReport, config_hash: str) -> dict:
@@ -251,12 +247,6 @@ def report_json_dict(report: ProximityReport, config_hash: str) -> dict:
         ],
         "config_hash": config_hash,
     }
-
-
-def write_report_json(report: ProximityReport, config_hash: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_json_dict(report, config_hash), fh, indent=2)
-        fh.write("\n")
 
 
 def phi_diagnostics(

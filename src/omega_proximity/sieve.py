@@ -30,6 +30,10 @@ from .budget import (
 
 MIN_SEGMENT_SIZE = 64
 
+# Largest x a sweep of [1, x] reaches: the kernel's np.arange(lo, hi) needs
+# hi = x + 1 to fit in an int64.
+MAX_X = (1 << 63) - 2
+
 
 @dataclass(frozen=True)
 class PrimeList:
@@ -90,18 +94,6 @@ def primes_up_to(limit: int) -> PrimeList:
     primes += 1
     primes[0] = 2
     return PrimeList(limit, primes)
-
-
-_prime_cache: PrimeList | None = None
-
-
-def _cached_primes(limit: int) -> np.ndarray:
-    global _prime_cache
-    if _prime_cache is None or limit > _prime_cache.limit:
-        grown = 1 << 10 if _prime_cache is None else 2 * _prime_cache.limit
-        _prime_cache = primes_up_to(max(limit, grown))
-    ps = _prime_cache.primes
-    return ps[: int(np.searchsorted(ps, limit, side="right"))]
 
 
 # The first twelve primes as Miller-Rabin bases; the smallest composite
@@ -223,8 +215,8 @@ def iter_factor_segments(
     read-only prime table, so results are identical for any threads value.
     threads is capped at the machine's CPU count.
     """
-    if lo < 1 or hi <= lo:
-        raise ValueError(f"need 1 <= lo < hi, got lo={lo}, hi={hi}")
+    if lo < 1 or hi <= lo or hi > MAX_X + 1:
+        raise ValueError(f"need 1 <= lo < hi <= {MAX_X + 1}, got lo={lo}, hi={hi}")
     if segment_size < MIN_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
     threads = _worker_count(threads)
@@ -233,7 +225,7 @@ def iter_factor_segments(
         "segmented sieve",
     )
     root = math.isqrt(hi - 1)
-    sieve_primes = [int(p) for p in _cached_primes(root)] if root >= 2 else []
+    sieve_primes = primes_up_to(root).primes.tolist() if root >= 2 else []
 
     def worker(span: tuple[int, int]) -> FactorCensus:
         a, b = span

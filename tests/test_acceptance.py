@@ -36,7 +36,7 @@ from omega_proximity.census import (
 )
 from omega_proximity.cli import main as cli_main
 from omega_proximity.gfunction import GEntry, GFunction, build_g
-from omega_proximity.primeset import coprime_count
+from omega_proximity.primeset import coprime_count_inclusion_exclusion
 from omega_proximity.proximity import (
     certificate_count,
     coincidence_count,
@@ -88,12 +88,12 @@ def test_c01_sieve_matches_trial_division_to_1e5():
 def test_c02_census_partition(power_set_5):
     totals = {x: census(x, "omega").total() for x in (100, 10_000, 1_000_000)}
     restricted = census(1_000_000, "big_omega", restrict=power_set_5).total()
-    expected = coprime_count(1_000_000, power_set_5)
+    expected = coprime_count_inclusion_exclusion(1_000_000, power_set_5)
     ok = all(totals[x] == x for x in totals) and restricted == expected
     line(
         "census-partition",
         ok,
-        f"totals={totals} restricted@1e6={restricted} coprime_count={expected}",
+        f"totals={totals} restricted@1e6={restricted} inclusion-exclusion={expected}",
     )
     assert totals == {100: 100, 10_000: 10_000, 1_000_000: 1_000_000}
     assert restricted == expected

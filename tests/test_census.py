@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from omega_proximity import sieve
 from omega_proximity.census import (
     CensusTable,
     census,
@@ -16,7 +17,7 @@ from omega_proximity.census import (
     mode_k,
     normalize_f,
 )
-from omega_proximity.primeset import coprime_count, power_prime_set
+from omega_proximity.primeset import coprime_count_inclusion_exclusion, power_prime_set
 
 from oracles import census_slow, concentration_tail_slow, mode_slow
 
@@ -48,6 +49,19 @@ def test_census_trivial_x():
         census(0, "omega")
 
 
+def test_census_rejects_x_beyond_int64(monkeypatch):
+    # Raised budget: the range check, not the memory check, must refuse it,
+    # before the sieve primes or a segment exist.
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be swept or allocated")
+
+    monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", str(1 << 40))
+    monkeypatch.setattr(sieve, "_segment_factor_counts", never)
+    monkeypatch.setattr(sieve, "primes_up_to", never)
+    with pytest.raises(ValueError, match="lo < hi <="):
+        census(2**63 - 1, "omega")
+
+
 def test_census_matches_oracle():
     for tag in ("omega", "big_omega"):
         assert census(2000, tag).counts == census_slow(2000, tag)
@@ -68,7 +82,7 @@ def test_partition_unrestricted():
 def test_partition_restricted(power_set_5):
     for x in (10, 500, 20_000):
         t = census(x, "omega", restrict=power_set_5)
-        assert t.total() == coprime_count(x, power_set_5)
+        assert t.total() == coprime_count_inclusion_exclusion(x, power_set_5)
 
 
 def test_segment_size_independence():

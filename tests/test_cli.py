@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from omega_proximity import sieve
 from omega_proximity.cli import main
 
 
@@ -93,7 +94,7 @@ def test_verify_passes(tmp_path, capsys):
     assert run(["verify", "--x", "2000"], tmp_path) == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
-    assert "8/8 checks passed" in out
+    assert "7/7 checks passed" in out
 
 
 def test_verify_validates_g_file(tmp_path, capsys):
@@ -101,7 +102,7 @@ def test_verify_validates_g_file(tmp_path, capsys):
     capsys.readouterr()
     g_path = tmp_path / "g.json"
     assert run(["verify", "--x", "2000", "--g", str(g_path)], tmp_path) == 0
-    assert "9/9 checks passed" in capsys.readouterr().out
+    assert "8/8 checks passed" in capsys.readouterr().out
 
     doc = json.loads(g_path.read_text())
     doc["table"][0]["value"] += 1
@@ -110,13 +111,15 @@ def test_verify_validates_g_file(tmp_path, capsys):
     assert run(["verify", "--x", "2000", "--g", str(bad)], tmp_path) == 1
     out = capsys.readouterr().out
     assert "[FAIL] g-file-integrity: table differs from rebuild" in out
-    assert "8/9 checks passed" in out
+    assert "7/8 checks passed" in out
 
 
 def test_verify_rejects_unreadable_g(tmp_path, capsys):
     junk = tmp_path / "junk.json"
-    junk.write_text("{broken")
-    assert run(["verify", "--x", "2000", "--g", str(junk)], tmp_path) == 1
+    for text in ("{broken", "[1, 2]"):
+        junk.write_text(text)
+        assert run(["verify", "--x", "2000", "--g", str(junk)], tmp_path) == 1
+        assert "[FAIL] g-file-integrity: unreadable or inconsistent" in capsys.readouterr().out
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -189,3 +192,41 @@ def test_missing_out_directory_is_created(tmp_path):
 def test_malformed_budget_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "lots")
     assert run(["census", "--x", "100"], tmp_path) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"f": "big_omega"},
+    {"table": [{"prime": 3}]},
+    {"table": 5},
+    [1, 2],
+], ids=["no-table", "row-without-value", "table-not-a-list", "not-an-object"])
+@pytest.mark.parametrize("command", ["count", "certificate", "report"])
+def test_malformed_g_file_exit_2(tmp_path, capsys, doc, command):
+    g_path = tmp_path / "g.json"
+    g_path.write_text(json.dumps(doc))
+    scale = ["--grid", "1000"] if command == "report" else ["--x", "1000"]
+    assert run([command, *scale, "--g", str(g_path)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: malformed g file {g_path}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["census"], ["construct"], ["count"], ["certificate"], ["phi"], ["verify"], ["report"],
+])
+def test_x_beyond_int64_sweep_exit_2(tmp_path, capsys, monkeypatch, command):
+    # hi = x + 1 = 2**63 overflows the kernel's int64 arange: refused while
+    # parsing, before any prime table or segment exists.
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be swept or allocated")
+
+    monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", str(1 << 40))
+    monkeypatch.setattr(sieve, "_segment_factor_counts", never)
+    monkeypatch.setattr(sieve, "primes_up_to", never)
+    top = str(2**63 - 1)
+    scale = ["--grid", f"10000,{top}"] if command == ["report"] else ["--x", top]
+    with pytest.raises(SystemExit) as exc:
+        run([*command, *scale], tmp_path)
+    assert exc.value.code == 2
+    assert f"must be <= {2**63 - 2}" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Maximizer search and construction of the multiplicative target g."""
 
+import json
 import math
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 from omega_proximity.census import census
 from omega_proximity.errors import ScaleError
-from omega_proximity.gfunction import GEntry, GFunction, build_g, compute_maximizer, g_to_json_text
+from omega_proximity.gfunction import GEntry, GFunction, build_g, compute_maximizer
 from omega_proximity.primeset import PrimeSetS, power_prime_set, threshold_prime_set
 
 from oracles import eval_g_slow, maximizer_slow
@@ -160,7 +161,7 @@ def test_value_matches_slow_oracle(power_set_5):
 def test_serialization_round_trip_and_determinism(power_set_5):
     g1 = build_g(10_000, power_set_5, "big_omega")
     g2 = build_g(10_000, power_set_5, "big_omega")
-    assert g_to_json_text(g1) == g_to_json_text(g2)
+    assert json.dumps(g1.to_json_dict(), indent=2) == json.dumps(g2.to_json_dict(), indent=2)
     back = GFunction.from_json_dict(g1.to_json_dict())
     assert back.table == g1.table
     assert back.entries == g1.entries

@@ -1,0 +1,105 @@
+"""Frozen output bytes: the sha256 of every file each subcommand writes.
+
+The digests were recorded once and are not regenerated by the tests, so a
+change to any byte of any output file (formatting, field order, a float
+repr, a config hash) fails here.  Every run repeats at a small segment size
+with two threads: the files must not depend on either.
+"""
+
+import hashlib
+
+import pytest
+
+from omega_proximity.cli import main
+
+X = "100000"
+
+# (subcommand arguments, {file name: sha256 of its bytes})
+GOLDEN = {
+    "census-omega": (
+        ["census", "--x", X, "--f", "omega"],
+        {
+            "census_omega_x100000.csv":
+                "12b88b42bbbe2e9328a5951fddbd2a48f209c72854ef6917ccbd7eed9db36b02",
+            "census_omega_x100000.meta.json":
+                "b83bd7ce582751d27dd0665fa214406c70a8d964fe2358650fab25bbabe0c3da",
+        },
+    ),
+    "census-restricted": (
+        ["census", "--x", X, "--f", "bigomega", "--restrict"],
+        {
+            "census_bigomega_x100000_coprime.csv":
+                "691b948599080bc1ceb174d8d95735b335296eb692d2804b5d526e6aa5e6f395",
+            "census_bigomega_x100000_coprime.meta.json":
+                "54177b97149a7968eed0b49219f7af65b96fe38423f49ec43f2546035d1b7c1e",
+        },
+    ),
+    "construct": (
+        ["construct", "--x", X],
+        {
+            "g.json":
+                "498d4da3821ecdd56191c491a0105b48467218cc6743e7429213515e37623466",
+            "set.json":
+                "bdad92fafce2ce8687243b429624ee9a5a26994bcad97437f740f0a0e00704a5",
+        },
+    ),
+    "count-g": (
+        ["count", "--x", X, "--g", "{g}"],
+        {
+            "count_bigomega_x100000.json":
+                "afc87d187bb6a0bc8e584448bc4292ce14194501314e4efe5e2058f9a49a08d4",
+        },
+    ),
+    "certificate": (
+        ["certificate", "--x", X],
+        {
+            "certificate_bigomega_x100000.json":
+                "06e4a736a0845032f4387c36735d64e0ca8b5024b344010618f49a36e1c20f3f",
+        },
+    ),
+    "report": (
+        ["report", "--grid", "1000,10000," + X],
+        {
+            "report.csv":
+                "5c352b0b0b6c6d0f51c8ff4bba978a6d8ee2d6402d275a8b54f867de98527dfe",
+            "report.json":
+                "b149183fe497a8378bd9f128ae9132daf50f67b7ac0d04722498a54bfdec2bb3",
+        },
+    ),
+    "report-empty": (
+        ["report", "--grid", ""],
+        {
+            "report.csv":
+                "9154dced225b8b0832cd5bfe56171a30bd0e864031f66017fb00c7c6635d2b33",
+            "report.json":
+                "32c8d1172a822c2504bb3854c447ab8c4556acf9600ad633799417ac0a2f4ef2",
+        },
+    ),
+    "phi": (
+        ["phi", "--x", X, "--f", "bigomega"],
+        {
+            "phi_bigomega_x100000.json":
+                "82215596a004ad755a7e201d02b507faf23f8488033853aa9a5e56a1b45137c7",
+        },
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def g_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("g")
+    assert main(["construct", "--x", X, "--out", str(out)]) == 0
+    return str(out / "g.json")
+
+
+@pytest.mark.parametrize("sweep", [[], ["--segment-size", "4096", "--threads", "2"]],
+                         ids=["default", "seg4096-t2"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_are_frozen(name, sweep, tmp_path, g_file, capsys):
+    argv, expected = GOLDEN[name]
+    argv = [a.replace("{g}", g_file) for a in argv]
+    assert main([*argv, *sweep, "--out", str(tmp_path)]) == 0
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
+    }
+    assert written == expected

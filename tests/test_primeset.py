@@ -4,10 +4,9 @@ import math
 
 import pytest
 
+from omega_proximity.census import census
 from omega_proximity.primeset import (
     PrimeSetS,
-    anchor_scale,
-    coprime_count,
     coprime_count_inclusion_exclusion,
     density_constant,
     power_prime_set,
@@ -91,11 +90,11 @@ def test_convergence_witness_for_square_growth():
 
 
 def test_coprime_count_example():
-    assert coprime_count(20, [3, 5]) == 11
     assert coprime_count_inclusion_exclusion(20, [3, 5]) == 11
 
 
 def test_coprime_count_dual_route_exact():
+    # The restricted census counts by marking; inclusion-exclusion never marks.
     sets = [
         [2],
         [3, 5],
@@ -104,25 +103,16 @@ def test_coprime_count_dual_route_exact():
         list(threshold_prime_set(0.5, 9).members),
     ]
     for members in sets:
+        restrict = PrimeSetS.from_members(members)
         for y in (1, 97, 5000, 100_000):
-            assert coprime_count(y, members) == coprime_count_inclusion_exclusion(y, members), (
-                members,
-                y,
-            )
+            marked = census(y, "omega", restrict=restrict).total()
+            assert marked == coprime_count_inclusion_exclusion(y, members), (members, y)
 
 
 def test_coprime_count_matches_oracle():
     for members in ([3, 5], [2, 7, 13]):
         for y in (1, 50, 400):
-            assert coprime_count(y, members) == coprime_count_slow(y, members)
-
-
-def test_anchor_scale():
-    assert anchor_scale(1) == (2, 1618)
-    assert anchor_scale(2) == (4, None)
-    assert anchor_scale(6) == (64, None)
-    with pytest.raises(ValueError):
-        anchor_scale(0)
+            assert coprime_count_inclusion_exclusion(y, members) == coprime_count_slow(y, members)
 
 
 def test_json_round_trip():

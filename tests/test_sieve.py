@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from omega_proximity import sieve
 from omega_proximity.errors import CapacityError
-from omega_proximity.primeset import coprime_count
 from omega_proximity.sieve import (
     factorize,
     is_prime,
@@ -179,10 +178,6 @@ def test_threads_capped_at_cpu_count(monkeypatch):
     base = sieve_census(1, 20_000, segment_size=1024)
     assert np.array_equal(capped.omega, base.omega)
     assert np.array_equal(capped.big_omega, base.big_omega)
-    # coprime_count runs its own pool.
-    members = [3, 5, 7]
-    assert coprime_count(20_000, members, 1024, threads=10**6) == coprime_count(20_000, members, 1024)
-    assert asked == [2, 2]
 
 
 def test_additivity_on_coprime_pairs():
@@ -215,6 +210,8 @@ def test_range_validation():
         sieve_census(10, 10)
     with pytest.raises(ValueError):
         sieve_census(1, 100, segment_size=32)
+    with pytest.raises(ValueError):  # hi = 2**63 does not fit in an int64
+        next(sieve.iter_factor_segments(2**63 - 100, 2**63))
 
 
 def test_budget_cap(monkeypatch):
