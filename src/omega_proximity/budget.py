@@ -18,12 +18,10 @@ BUDGET_ENV_VAR = "OMEGA_PROXIMITY_BUDGET"
 DEFAULT_BUDGET_MB = 2048
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Working set of one segment, per integer: the sieve kernel's product of found
-# prime powers and its arange (4 B each below 2**32, 8 B above) with uint8
-# omega, extra, big_omega and a bool compare, about 12 B (20 B above 2**32);
-# after it, the certificate's uint8 hits, want and levels, uint16 g values
-# and bincount's int64 copy of levels, about 14 B.  The cap of 32 also covers
-# numpy temporaries.
+# Working set of one segment, per integer: the sieve kernel's uint32 word, a
+# uint32 shift of it and uint8 omega, big_omega and compares, about 12 B; then
+# the certificate's uint8 hits, want and levels, uint16 g values and bincount's
+# int64 copy of levels, about 14 B.  The cap of 32 also covers numpy temporaries.
 WORKING_BYTES_PER_N = 32
 
 

@@ -61,6 +61,17 @@ class ConcentrationInterval:
     hi: float
 
 
+def add_level_counts(acc: np.ndarray, values: np.ndarray) -> None:
+    """acc[k] += #{i : values[i] == k}: one count_nonzero pass per level while
+    levels are few (omega stays below 16), else bincount and its int64 copy."""
+    top = int(values.max(initial=0))
+    if top >= 16:
+        acc += np.bincount(values, minlength=len(acc))
+    else:
+        for k in range(top + 1):
+            acc[k] += np.count_nonzero(values == k)
+
+
 def census(
     x: int,
     f_tag: str,
@@ -93,7 +104,7 @@ def census(
         values = seg.values(tag)
         if members:
             values = values[coprime_mask(seg.lo, seg.hi, members)]
-        acc += np.bincount(values, minlength=256)
+        add_level_counts(acc, values)
     counts = {int(k): int(c) for k, c in enumerate(acc) if c}
     return CensusTable(x, tag, restrict, counts)
 

@@ -56,7 +56,7 @@ def config_hash(payload: dict) -> str:
 
 
 def sweep_bound(raw: str) -> int:
-    """An x whose sweep of [1, x] fits the kernel's int64 range."""
+    """An x no larger than sieve.MAX_X: its sweep's end x + 1 is an int64."""
     value = int(raw)
     if value > MAX_X:
         raise argparse.ArgumentTypeError(f"must be <= {MAX_X}, got {value}")

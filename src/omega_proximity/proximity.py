@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
-from .census import normalize_f
+from .census import add_level_counts, normalize_f
 from .errors import CertificateError
 from .gfunction import GFunction
 from .primeset import PrimeSetS
@@ -271,13 +271,14 @@ def phi_diagnostics(
     if x < 2:
         raise ValueError(f"phi_diagnostics requires x >= 2, got {x}")
     tag = normalize_f(f_tag)
+    segments = iter_factor_segments(1, x + 1, segment_size, threads)  # checks x first
     cap = int(1.25506 * x / math.log(x)) + 1
     require_budget(8 * cap + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
     recips = np.empty(cap, dtype=np.float64)  # unwritten pages are never faulted in
     levels = np.zeros(256, dtype=np.int64)
     k = 0
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads):
-        levels += np.bincount(seg.values(tag), minlength=256)
+    for seg in segments:
+        add_level_counts(levels, seg.values(tag))
         ps = np.flatnonzero(seg.big_omega == 1) + seg.lo
         np.divide(1.0, ps, out=recips[k : k + len(ps)])
         k += len(ps)

@@ -5,9 +5,11 @@ and big_omega(n) (number of prime factors counted with multiplicity) over
 integer ranges, an odd-only prime enumerator, a primality check, and a slow
 trial-division factorizer used as the independent cross-check for the sieve.
 
-The segment kernel never divides: it multiplies the prime powers it finds
-into a product (uint32 below 2**32, int64 above) and compares it with n to
-detect the one prime factor above sqrt(n) a number can have.
+The segment kernel keeps one uint32 word per n.  A hit of a sieve prime p
+adds 256 + c_p and a hit of p**a (a >= 2) adds 65536 + c_p, c_p =
+round(3 log2 p): byte 0 sums S(n) = sum of v_p(n) c_p, byte 1 counts the
+distinct sieve primes and byte 2 the higher-power hits.  A prime factor
+above the sieve primes shows as S(n) < T_b in band b = bitlen(n) - 1.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .budget import (
 
 MIN_SEGMENT_SIZE = 64
 
-# Largest x a sweep of [1, x] reaches: the kernel's np.arange(lo, hi) needs
-# hi = x + 1 to fit in an int64.
+# Largest x a sweep of [1, x] reaches: hi = x + 1 stays an int64 for the
+# consumers, and below 2**63 the kernel's byte 0 holds S(n) < 200 uncarried.
 MAX_X = (1 << 63) - 2
 
 
@@ -145,41 +147,51 @@ def next_prime(n: int | float) -> int:
     return c
 
 
-def _segment_factor_counts(
-    lo: int, hi: int, primes: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pure worker: omega/big_omega for [lo, hi) given sieve primes <= sqrt(hi-1).
+def _sieve_tables(primes: np.ndarray, hi: int) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Kernel increments (p, 256 + c_p, 65536 + c_p) and band thresholds T_b.
 
-    No division: found[i] is the part of n = lo + i made of sieve primes,
-    the product of every p**a dividing n.  It divides n, so it cannot
-    overflow a uint32 when hi <= 2**32 or an int64 above, and n has a
-    prime factor above sqrt(hi - 1) exactly when found < n.
+    Let r_min <= c_p / log2 p <= r_max over the sieve primes.  In band b an
+    n made of sieve primes has S(n) >= r_min b.  An n with a prime factor
+    above them (so above isqrt(hi - 1) >= sqrt(n)) keeps a sieved part of at
+    most isqrt(2**(b + 1) - 1), so S(n) <= r_max log2 of that < T_b.  T_0 = 0:
+    n = 1 has no prime factor.  The 1e-9 margins absorb float rounding.
+    """
+    logs = np.log2(primes)
+    weights = np.rint(3 * logs).astype(np.int64)
+    ratios = weights / logs if len(primes) else np.array([3.0])
+    r_min, r_max = float(ratios.min()), float(ratios.max())
+    top = (hi - 1).bit_length()
+    thresholds = [0] + [math.floor(r_max * math.log2(math.isqrt((2 << b) - 1)) + 1e-9) + 1
+                        for b in range(1, top)]
+    if r_max * top >= 256 or any(t > r_min * b - 1e-9 for b, t in enumerate(thresholds) if b):
+        raise ArithmeticError(f"log weights do not separate the bands below {hi}")
+    hits = [(p, 256 + c, 65536 + c) for p, c in zip(primes.tolist(), weights.tolist())]
+    return hits, thresholds
+
+
+def _segment_factor_counts(
+    lo: int, hi: int, hits: list[tuple[int, int, int]], thresholds: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pure worker: omega/big_omega for [lo, hi) from _sieve_tables' output.
+
+    One strided read-modify-write per hit, on one packed word per n; then
+    n = lo + i with S(n) < T_b has one prime factor above the sieve primes.
     """
     span = hi - lo
-    dtype = np.uint32 if hi <= 1 << 32 else np.int64
-    omega = np.zeros(span, dtype=np.uint8)
-    extra = np.zeros(span, dtype=np.uint8)  # prime powers p**a with a >= 2
-    found = np.ones(span, dtype=dtype)
-    for p in primes:
-        first = -lo % p  # offset of the first multiple of p
-        if first >= span:
-            continue
-        sl = slice(first, span, p)
-        omega[sl] += 1
-        found[sl] *= p
-        q = p * p
+    word = np.zeros(span, dtype=np.uint32)
+    for p, hit, power_hit in hits:
+        q, add = p, hit
         while q < hi:
-            first = -lo % q
-            if first >= span:
+            first = -lo % q  # offset of the first multiple of q
+            if first >= span:  # then no multiple of a higher power either
                 break
-            sl = slice(first, span, q)
-            extra[sl] += 1
-            found[sl] *= p
-            q *= p
-    # The cofactor n // found is 1 or a single prime > sqrt(n), which adds
-    # one to both counts.
-    omega += (found < np.arange(lo, hi, dtype=dtype)).view(np.uint8)
-    return omega, omega + extra
+            word[first::q] += add
+            q, add = q * p, power_hit
+    omega = (word >> 8).astype(np.uint8)  # astype keeps the low byte
+    for b in range(lo.bit_length() - 1, (hi - 1).bit_length()):
+        a, z = max(lo, 1 << b) - lo, min(hi, 2 << b) - lo
+        omega[a:z] += word[a:z].astype(np.uint8) < thresholds[b]
+    return omega, omega + (word >> 16).astype(np.uint8)
 
 
 def _worker_count(threads: int) -> int:
@@ -209,11 +221,11 @@ def iter_factor_segments(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> Iterator[FactorCensus]:
-    """Yield FactorCensus segments covering [lo, hi) in ascending order.
+    """FactorCensus segments covering [lo, hi) in ascending order.
 
-    Segment boundaries never change the counts; workers share only the
-    read-only prime table, so results are identical for any threads value.
-    threads is capped at the machine's CPU count.
+    The range is checked at the call, before any segment.  Segments never
+    change the counts; workers share only the read-only tables, so results
+    are identical for any threads value, which is capped at the CPU count.
     """
     if lo < 1 or hi <= lo or hi > MAX_X + 1:
         raise ValueError(f"need 1 <= lo < hi <= {MAX_X + 1}, got lo={lo}, hi={hi}")
@@ -225,14 +237,15 @@ def iter_factor_segments(
         "segmented sieve",
     )
     root = math.isqrt(hi - 1)
-    sieve_primes = primes_up_to(root).primes.tolist() if root >= 2 else []
+    sieve_primes = primes_up_to(root).primes if root >= 2 else np.empty(0, dtype=np.int64)
+    hits, thresholds = _sieve_tables(sieve_primes, hi)
 
     def worker(span: tuple[int, int]) -> FactorCensus:
         a, b = span
-        om, bo = _segment_factor_counts(a, b, sieve_primes)
+        om, bo = _segment_factor_counts(a, b, hits, thresholds)
         return FactorCensus(a, b, om, bo)
 
-    yield from _pipelined(worker, iter_ranges(lo, hi, segment_size), threads)
+    return _pipelined(worker, iter_ranges(lo, hi, segment_size), threads)
 
 
 def sieve_census(
@@ -258,11 +271,12 @@ def sieve_census(
     FactorCensus
         uint8 count arrays of length hi - lo.
     """
-    span = hi - lo if hi > lo else 0
-    require_budget(2 * span + WORKING_BYTES_PER_N * min(segment_size, max(span, 1)), "factor census")
+    segments = iter_factor_segments(lo, hi, segment_size, threads)  # checks the range first
+    span = hi - lo
+    require_budget(2 * span + WORKING_BYTES_PER_N * min(segment_size, span), "factor census")
     omega = np.empty(span, dtype=np.uint8)
     big_omega = np.empty(span, dtype=np.uint8)
-    for seg in iter_factor_segments(lo, hi, segment_size, threads):
+    for seg in segments:
         omega[seg.lo - lo : seg.hi - lo] = seg.omega
         big_omega[seg.lo - lo : seg.hi - lo] = seg.big_omega
     return FactorCensus(lo, hi, omega, big_omega)

@@ -138,3 +138,37 @@ def phi_slow(x: int, f_tag: str) -> tuple[float, float, float, int]:
             power *= p
             a += 1
     return a_sum, b_sum, b_sum / a_sum, max(census_slow(x, f_tag).values())
+
+
+def segment_factor_counts_product(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """omega/big_omega for [lo, hi) given every prime <= sqrt(hi - 1).
+
+    The product kernel the sieve used before its packed-word form:
+    found[i] multiplies every p**a dividing n = lo + i over the given
+    primes.  It divides n, so it fits a uint32 when hi <= 2**32 and an
+    int64 above, and n has a prime factor above the primes exactly when
+    found < n.
+    """
+    span = hi - lo
+    dtype = np.uint32 if hi <= 1 << 32 else np.int64
+    omega = np.zeros(span, dtype=np.uint8)
+    extra = np.zeros(span, dtype=np.uint8)  # prime powers p**a with a >= 2
+    found = np.ones(span, dtype=dtype)
+    for p in primes:
+        first = -lo % p
+        if first >= span:
+            continue
+        sl = slice(first, span, p)
+        omega[sl] += 1
+        found[sl] *= p
+        q = p * p
+        while q < hi:
+            first = -lo % q
+            if first >= span:
+                break
+            sl = slice(first, span, q)
+            extra[sl] += 1
+            found[sl] *= p
+            q *= p
+    omega += (found < np.arange(lo, hi, dtype=dtype)).view(np.uint8)
+    return omega, omega + extra

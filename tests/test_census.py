@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from omega_proximity import sieve
 from omega_proximity.census import (
     CensusTable,
+    add_level_counts,
     census,
     census_csv_lines,
     census_metadata,
@@ -18,6 +20,7 @@ from omega_proximity.census import (
     normalize_f,
 )
 from omega_proximity.primeset import coprime_count_inclusion_exclusion, power_prime_set
+from omega_proximity.proximity import phi_diagnostics
 
 from oracles import census_slow, concentration_tail_slow, mode_slow
 
@@ -60,6 +63,38 @@ def test_census_rejects_x_beyond_int64(monkeypatch):
     monkeypatch.setattr(sieve, "primes_up_to", never)
     with pytest.raises(ValueError, match="lo < hi <="):
         census(2**63 - 1, "omega")
+
+
+def test_buffers_sized_only_after_the_range_check(monkeypatch):
+    # Raised budget: sieve_census and phi_diagnostics size buffers of about
+    # x bytes, so the range check must come before numpy is asked for one.
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be swept or allocated")
+
+    monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", str(1 << 50))
+    monkeypatch.setattr(sieve, "_segment_factor_counts", never)
+    monkeypatch.setattr(sieve, "primes_up_to", never)
+    monkeypatch.setattr(np, "empty", never)
+    with pytest.raises(ValueError, match="lo < hi <="):
+        sieve.sieve_census(1, 2**63)
+    with pytest.raises(ValueError, match="lo < hi <="):
+        phi_diagnostics(2**63 - 1, "omega")
+
+
+def test_add_level_counts_matches_bincount():
+    # Levels below 16 take one pass per level, higher ones bincount.
+    rng = np.random.default_rng(7)
+    for top in (0, 1, 15, 16, 63):
+        values = rng.integers(0, top + 1, 5000).astype(np.uint8)
+        acc = np.zeros(256, dtype=np.int64)
+        acc[3] = 5
+        add_level_counts(acc, values)
+        want = np.bincount(values, minlength=256)
+        want[3] += 5
+        assert np.array_equal(acc, want), top
+    acc = np.zeros(256, dtype=np.int64)
+    add_level_counts(acc, np.zeros(0, dtype=np.uint8))
+    assert not acc.any()
 
 
 def test_census_matches_oracle():

@@ -5,6 +5,7 @@ import os
 import random
 from concurrent.futures import Future
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,13 @@ from omega_proximity.sieve import (
     sieve_census,
 )
 
-from oracles import big_omega_slow, factorize_slow, is_prime_slow, omega_slow
+from oracles import (
+    big_omega_slow,
+    factorize_slow,
+    is_prime_slow,
+    omega_slow,
+    segment_factor_counts_product,
+)
 
 
 def test_primes_up_to_small():
@@ -138,15 +145,67 @@ def test_thread_count_independence():
 @example(lo=2**32, span=256)
 def test_sieve_windows_match_factorize(lo, span):
     # Windows from 10^4 to 10^11, one decimal order drawn at a time, split
-    # into segments of 64 so that two threads really pipeline.  The kernel's
-    # product is uint32 for segments ending at or below 2**32 and int64
-    # above; the explicit windows below, at and across 2**32 cover both.
+    # into segments of 64 so that two threads really pipeline.  The explicit
+    # windows below, at and across 2**32 keep the range where the product
+    # kernel of tests/oracles.py switches from uint32 to int64 covered.
     want = [factorize(n) for n in range(lo, lo + span)]
     for threads in (1, 2):
         seg = sieve_census(lo, lo + span, segment_size=64, threads=threads)
         for n, fs in zip(range(lo, lo + span), want):
             assert seg.omega_of(n) == len(set(fs)), (n, threads)
             assert seg.big_omega_of(n) == len(fs), (n, threads)
+
+
+@settings(max_examples=20, deadline=None)
+@given(b=st.integers(0, 40), before=st.integers(0, 200), after=st.integers(1, 200))
+@example(b=0, before=0, after=200)
+@example(b=40, before=200, after=200)
+def test_kernel_matches_product_kernel_across_bands(b, before, after):
+    # Windows [2**b - before, 2**b + after) meet two bit-length bands, and
+    # from n = 1 (b = 0) several; the product kernel needs no thresholds.
+    lo, hi = max(1, (1 << b) - before), (1 << b) + after
+    root = math.isqrt(hi - 1)
+    primes = primes_up_to(root).primes.tolist() if root >= 2 else []
+    want_omega, want_big_omega = segment_factor_counts_product(lo, hi, primes)
+    for segment_size in (64, 1 << 20):
+        for threads in (1, 2):
+            seg = sieve_census(lo, hi, segment_size=segment_size, threads=threads)
+            assert np.array_equal(seg.omega, want_omega), (segment_size, threads)
+            assert np.array_equal(seg.big_omega, want_big_omega), (segment_size, threads)
+
+
+def test_band_thresholds_separate_every_band():
+    # c_p / log2 p is largest at p = 3 and smallest at p = 7 up to 10**6;
+    # above it |c_p / log2 p - 3| <= 0.5 / log2 p < 0.03 keeps every sieve
+    # prime of a sweep below 2**63 inside the same extremes.  So the tables
+    # for limits 2, 3, 5, 7 and 10**6 stand for every table up to 10**6.
+    primes = primes_up_to(10**6).primes
+    ratios = np.rint(3 * np.log2(primes)) / np.log2(primes)
+    assert np.argmax(ratios) == 1 and np.argmin(ratios) == 3
+    mpmath.mp.dps = 40
+    try:
+        for limit in (2, 3, 5, 7, 10**6):
+            table = primes[primes <= limit]
+            hits, thresholds = sieve._sieve_tables(table, 2**63 - 1)
+            weights = [round(3 * math.log2(p)) for p in table.tolist()]
+            assert hits == [(p, 256 + c, 65536 + c) for p, c in zip(table.tolist(), weights)]
+            exact = [mpmath.mpf(c) / mpmath.log(p, 2) for p, c in zip(table.tolist()[:4], weights)]
+            r_min, r_max = min(exact), max(exact)
+            assert len(thresholds) == 63 and thresholds[0] == 0
+            for b in range(1, 63):
+                sieved = math.isqrt((2 << b) - 1)  # largest sieved part with a cofactor
+                assert r_max * mpmath.log(sieved, 2) < thresholds[b] <= r_min * b, (limit, b)
+            # S(n) <= r_max log2 n < 200 below 2**63: byte 0 never carries.
+            assert r_max * 63 < 200
+    finally:
+        mpmath.mp.dps = 15
+    # The bound caps S at 198 below 2**63, reached at 2 * 3**39; 2**62 has
+    # S = 186.  Only 2 and 3 hit those n, so a table of the two gives the
+    # same word as the full one.
+    hits, thresholds = sieve._sieve_tables(primes[:2], 2**63 - 1)
+    for n, want in ((2 * 3**39, (2, 40)), (2**62, (1, 62))):
+        omega, big_omega = sieve._segment_factor_counts(n, n + 1, hits, thresholds)
+        assert (int(omega[0]), int(big_omega[0])) == want, n
 
 
 def test_threads_capped_at_cpu_count(monkeypatch):
