@@ -16,9 +16,7 @@ import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE
 from .primeset import PrimeSetS, coprime_mask
-from .sieve import iter_factor_segments
-
-F_TAGS = ("omega", "big_omega")
+from .sieve import F_TAGS, iter_factor_segments
 
 
 def normalize_f(tag: str) -> str:
@@ -63,10 +61,11 @@ class ConcentrationInterval:
 
 def add_level_counts(acc: np.ndarray, values: np.ndarray) -> None:
     """acc[k] += #{i : values[i] == k}: one count_nonzero pass per level while
-    levels are few (omega stays below 16), else bincount and its int64 copy."""
+    levels are few (omega stays below 16), else bincount by 2**16 (int64 copies of 512 KB)."""
     top = int(values.max(initial=0))
     if top >= 16:
-        acc += np.bincount(values, minlength=len(acc))
+        for i in range(0, len(values), 1 << 16):
+            acc += np.bincount(values[i : i + (1 << 16)], minlength=len(acc))
     else:
         for k in range(top + 1):
             acc[k] += np.count_nonzero(values == k)
@@ -100,7 +99,7 @@ def census(
     tag = normalize_f(f_tag)
     members = restrict.members if restrict is not None else ()
     acc = np.zeros(256, dtype=np.int64)
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads):
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag):
         values = seg.values(tag)
         if members:
             values = values[coprime_mask(seg.lo, seg.hi, members)]
@@ -144,9 +143,9 @@ def concentration_tail(
         raise ValueError(f"delta must be positive, got {delta}")
     threshold = math.log(math.log(x)) ** (1.0 + delta)
     total = 0
-    for seg in iter_factor_segments(2, x + 1, segment_size, threads):
+    for seg in iter_factor_segments(2, x + 1, segment_size, threads, "omega"):
         n = np.arange(seg.lo, seg.hi, dtype=np.float64)
-        dev = np.abs(seg.omega - np.log(np.log(n)))
+        dev = np.abs(seg.values("omega") - np.log(np.log(n)))
         total += int((dev > threshold).sum())
     return total
 

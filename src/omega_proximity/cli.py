@@ -257,15 +257,12 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     threads = args.threads
     checks: list[tuple[str, bool, str]] = []
 
-    # Sieve counts against per-n trial division.
+    # Sieve counts against per-n trial division, one sweep per tag.
     span = min(x, 10_000)
-    fc = sieve_census(1, span + 1, max(seg, 64), threads)
-    ok = True
-    for n in range(1, span + 1):
-        fs = factorize(n)
-        if fc.omega_of(n) != len(set(fs)) or fc.big_omega_of(n) != len(fs):
-            ok = False
-            break
+    factors = [factorize(n) for n in range(1, span + 1)]
+    omega = sieve_census(1, span + 1, max(seg, 64), threads, "omega").f.tolist()
+    big_omega = sieve_census(1, span + 1, max(seg, 64), threads, "big_omega").f.tolist()
+    ok = omega == [len(set(fs)) for fs in factors] and big_omega == [len(fs) for fs in factors]
     checks.append(("sieve-vs-factorization", ok, f"all n in [1, {span}]"))
 
     # Unrestricted censuses partition 1..x.

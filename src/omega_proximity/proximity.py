@@ -98,7 +98,7 @@ def coincidence_count(
         return 0
     tag = normalize_f(f_tag)
     total = 0
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads):
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag):
         gv = _g_segment_values(g, seg.lo, seg.hi)
         total += int((seg.values(tag) == gv).sum())
     return total
@@ -149,9 +149,9 @@ def certificate_count(
             power, a = power * p, a + 1
     cutoffs = sorted({y for y, _ in families})
     snapshots: dict[int, np.ndarray] = {}
-    hist = np.zeros(G_SATURATION, dtype=np.int64)
+    hist = np.zeros(2 * G_SATURATION, dtype=np.int64)  # lifted levels land in the top half
     checked = 0
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads):
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag):
         f = seg.values(tag)
         hits = np.zeros(len(f), dtype=np.uint8)  # members dividing n
         want = np.zeros(len(f), dtype=np.uint8)  # capped g(p) of such a member p
@@ -163,7 +163,7 @@ def certificate_count(
         start = 0
         for y in cutoffs[len(snapshots) :]:
             end = min(y + 1, seg.hi) - seg.lo
-            hist += np.bincount(levels[start:end], minlength=2 * G_SATURATION)[:G_SATURATION]
+            add_level_counts(hist, levels[start:end])
             if y >= seg.hi:
                 break
             snapshots[y], start = hist.copy(), end
@@ -262,7 +262,8 @@ def phi_diagnostics(
     vanishing share of the integers.
 
     One sweep of [1, x] fills a level histogram and writes 1/p for each
-    prime (big_omega == 1) into a buffer sized by pi(x) < 1.25506 x / ln x
+    prime, an n with f(n) == 1 that is no prime power p**a (a >= 2, listed
+    first), into a buffer sized by pi(x) < 1.25506 x / ln x
     (Rosser-Schoenfeld), ascending whatever the segments or threads.  The
     exponent-1 terms are np.sum over it: the pairwise summation tree depends
     only on the length, so the floats match summing a prime table; math.fsum
@@ -271,15 +272,23 @@ def phi_diagnostics(
     if x < 2:
         raise ValueError(f"phi_diagnostics requires x >= 2, got {x}")
     tag = normalize_f(f_tag)
-    segments = iter_factor_segments(1, x + 1, segment_size, threads)  # checks x first
+    segments = iter_factor_segments(1, x + 1, segment_size, threads, tag)  # checks x first
     cap = int(1.25506 * x / math.log(x)) + 1
     require_budget(8 * cap + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
+    roots = primes_up_to(max(2, math.isqrt(x))).primes.tolist()
+    # The float log may fall one short at an exact power, hence + 2 and the test.
+    powers = [(p, a, p**a) for p in roots for a in range(2, int(math.log(x, p)) + 2) if p**a <= x]
+    sorted_powers = np.sort(np.array([q for _, _, q in powers], dtype=np.int64))
     recips = np.empty(cap, dtype=np.float64)  # unwritten pages are never faulted in
     levels = np.zeros(256, dtype=np.int64)
     k = 0
     for seg in segments:
-        add_level_counts(levels, seg.values(tag))
-        ps = np.flatnonzero(seg.big_omega == 1) + seg.lo
+        f = seg.values(tag)
+        add_level_counts(levels, f)
+        ones = f == 1
+        i, j = np.searchsorted(sorted_powers, (seg.lo, seg.hi))
+        ones[sorted_powers[i:j] - seg.lo] = False
+        ps = np.flatnonzero(ones) + seg.lo
         np.divide(1.0, ps, out=recips[k : k + len(ps)])
         k += len(ps)
     recips = recips[:k]
@@ -287,15 +296,10 @@ def phi_diagnostics(
     b_sum = float(np.sum(recips))
     np.subtract(1.0, recips, out=recips)
     a_sum = float(np.sum(recips))
-    # Higher powers exist only for p <= sqrt(x).
-    for p in primes_up_to(max(2, math.isqrt(x))).primes.tolist():
-        weight = 1.0 - 1.0 / p
-        power, a = p * p, 2
-        while power <= x:
-            fv = 1 if tag == "omega" else a
-            a_sum += fv * weight
-            b_sum += (fv * fv) / power
-            power, a = power * p, a + 1
+    for p, a, power in powers:
+        fv = 1 if tag == "omega" else a
+        a_sum += fv * (1.0 - 1.0 / p)
+        b_sum += (fv * fv) / power
     max_count = int(levels.max())
     return PhiDiagnostics(x, tag, a_sum, b_sum, b_sum / a_sum, max_count, x / max_count)
 

@@ -5,11 +5,10 @@ and big_omega(n) (number of prime factors counted with multiplicity) over
 integer ranges, an odd-only prime enumerator, a primality check, and a slow
 trial-division factorizer used as the independent cross-check for the sieve.
 
-The segment kernel keeps one uint32 word per n.  A hit of a sieve prime p
-adds 256 + c_p and a hit of p**a (a >= 2) adds 65536 + c_p, c_p =
-round(3 log2 p): byte 0 sums S(n) = sum of v_p(n) c_p, byte 1 counts the
-distinct sieve primes and byte 2 the higher-power hits.  A prime factor
-above the sieve primes shows as S(n) < T_b in band b = bitlen(n) - 1.
+Each sweep counts one tag on one uint16 word per n: the low byte holds
+255 - S(n), a weighted log of the sieved part of n, and the high byte the
+sieve hits the tag counts.  A prime factor above the sieve primes shows as
+S(n) < T_b in band b = bitlen(n) - 1, so adding T_b carries it in too.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ from .budget import (
 )
 
 MIN_SEGMENT_SIZE = 64
+F_TAGS = ("omega", "big_omega")
 
 # Largest x a sweep of [1, x] reaches: hi = x + 1 stays an int64 for the
-# consumers, and below 2**63 the kernel's byte 0 holds S(n) < 200 uncarried.
+# consumers, and below 2**63 S(n) < 200 keeps the kernel's word exact.
 MAX_X = (1 << 63) - 2
 
 
@@ -47,26 +47,21 @@ class PrimeList:
 
 @dataclass(frozen=True)
 class FactorCensus:
-    """Factor counts for the half-open range [lo, hi).
+    """Counts of one tag, omega or big_omega, for the half-open range [lo, hi).
 
-    omega[i] and big_omega[i] hold the counts for n = lo + i as uint8;
-    big_omega(n) <= floor(log2 n) < 64 keeps that width safe.  n = 1 has
-    both counts zero.
+    f[i] holds the count for n = lo + i as uint8; big_omega(n) <=
+    floor(log2 n) < 64 keeps that width safe.  n = 1 counts zero.
     """
 
     lo: int
     hi: int
-    omega: np.ndarray
-    big_omega: np.ndarray
+    f_tag: str
+    f: np.ndarray
 
     def values(self, f_tag: str) -> np.ndarray:
-        return self.big_omega if f_tag == "big_omega" else self.omega
-
-    def omega_of(self, n: int) -> int:
-        return int(self.omega[n - self.lo])
-
-    def big_omega_of(self, n: int) -> int:
-        return int(self.big_omega[n - self.lo])
+        if f_tag != self.f_tag:
+            raise ValueError(f"this census holds {self.f_tag}, not {f_tag!r}")
+        return self.f
 
 
 def primes_up_to(limit: int) -> PrimeList:
@@ -147,14 +142,22 @@ def next_prime(n: int | float) -> int:
     return c
 
 
-def _sieve_tables(primes: np.ndarray, hi: int) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Kernel increments (p, 256 + c_p, 65536 + c_p) and band thresholds T_b.
+def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Kernel increments (p, prime hit, power hit) and band thresholds T_b.
+
+    The word of n starts at 255.  A hit of p adds 256 - c_p, c_p =
+    round(3 log2 p) >= 3: the low byte keeps 255 - S(n), S(n) = sum of
+    v_p(n) c_p, and the high byte counts 1.  A hit of p**a (a >= 2) adds the
+    same for big_omega, and 65536 - c_p, a wrapping -c_p, for omega.
 
     Let r_min <= c_p / log2 p <= r_max over the sieve primes.  In band b an
     n made of sieve primes has S(n) >= r_min b.  An n with a prime factor
     above them (so above isqrt(hi - 1) >= sqrt(n)) keeps a sieved part of at
     most isqrt(2**(b + 1) - 1), so S(n) <= r_max log2 of that < T_b.  T_0 = 0:
     n = 1 has no prime factor.  The 1e-9 margins absorb float rounding.
+    As S(n) < r_max bitlen(hi - 1) < 256 and T_b <= r_min b < 256, the low
+    byte never borrows and adding T_b carries into the high byte (which ends
+    at f(n) <= 63) exactly when 255 - S(n) + T_b >= 256, i.e. S(n) < T_b.
     """
     logs = np.log2(primes)
     weights = np.rint(3 * logs).astype(np.int64)
@@ -165,20 +168,22 @@ def _sieve_tables(primes: np.ndarray, hi: int) -> tuple[list[tuple[int, int, int
                         for b in range(1, top)]
     if r_max * top >= 256 or any(t > r_min * b - 1e-9 for b, t in enumerate(thresholds) if b):
         raise ArithmeticError(f"log weights do not separate the bands below {hi}")
-    hits = [(p, 256 + c, 65536 + c) for p, c in zip(primes.tolist(), weights.tolist())]
+    power_carry = 256 if f_tag == "big_omega" else 65536
+    hits = [(p, 256 - c, power_carry - c) for p, c in zip(primes.tolist(), weights.tolist())]
     return hits, thresholds
 
 
 def _segment_factor_counts(
     lo: int, hi: int, hits: list[tuple[int, int, int]], thresholds: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pure worker: omega/big_omega for [lo, hi) from _sieve_tables' output.
+) -> np.ndarray:
+    """Pure worker: f for [lo, hi) as uint8, from _sieve_tables' output.
 
-    One strided read-modify-write per hit, on one packed word per n; then
-    n = lo + i with S(n) < T_b has one prime factor above the sieve primes.
+    One strided read-modify-write per hit on one uint16 word per n; then
+    adding T_b carries a prime factor above the sieve primes into the high
+    byte, which the shift brings down.
     """
     span = hi - lo
-    word = np.zeros(span, dtype=np.uint32)
+    word = np.full(span, 255, dtype=np.uint16)
     for p, hit, power_hit in hits:
         q, add = p, hit
         while q < hi:
@@ -187,16 +192,10 @@ def _segment_factor_counts(
                 break
             word[first::q] += add
             q, add = q * p, power_hit
-    omega = (word >> 8).astype(np.uint8)  # astype keeps the low byte
     for b in range(lo.bit_length() - 1, (hi - 1).bit_length()):
-        a, z = max(lo, 1 << b) - lo, min(hi, 2 << b) - lo
-        omega[a:z] += word[a:z].astype(np.uint8) < thresholds[b]
-    return omega, omega + (word >> 16).astype(np.uint8)
-
-
-def _worker_count(threads: int) -> int:
-    """threads capped at the machine's CPU count; more would only contend."""
-    return min(threads, os.cpu_count() or 1)
+        word[max(lo, 1 << b) - lo : min(hi, 2 << b) - lo] += thresholds[b]
+    word >>= 8
+    return word.astype(np.uint8)
 
 
 def _pipelined(worker: Callable, items: Iterable, threads: int) -> Iterator:
@@ -220,30 +219,32 @@ def iter_factor_segments(
     hi: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
+    f_tag: str = "big_omega",
 ) -> Iterator[FactorCensus]:
-    """FactorCensus segments covering [lo, hi) in ascending order.
+    """FactorCensus segments of f_tag covering [lo, hi) in ascending order.
 
-    The range is checked at the call, before any segment.  Segments never
-    change the counts; workers share only the read-only tables, so results
-    are identical for any threads value, which is capped at the CPU count.
+    The range and tag are checked at the call, before any segment.  Segments
+    never change the counts; workers share only the read-only tables, so
+    results are identical for any threads value, capped at the CPU count.
     """
+    if f_tag not in F_TAGS:
+        raise ValueError(f"f_tag must be one of {F_TAGS}, got {f_tag!r}")
     if lo < 1 or hi <= lo or hi > MAX_X + 1:
         raise ValueError(f"need 1 <= lo < hi <= {MAX_X + 1}, got lo={lo}, hi={hi}")
     if segment_size < MIN_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
-    threads = _worker_count(threads)
+    threads = min(threads, os.cpu_count() or 1)  # more would only contend
     require_budget(
         WORKING_BYTES_PER_N * min(segment_size, hi - lo) * max(1, threads),
         "segmented sieve",
     )
     root = math.isqrt(hi - 1)
     sieve_primes = primes_up_to(root).primes if root >= 2 else np.empty(0, dtype=np.int64)
-    hits, thresholds = _sieve_tables(sieve_primes, hi)
+    hits, thresholds = _sieve_tables(sieve_primes, hi, f_tag)
 
     def worker(span: tuple[int, int]) -> FactorCensus:
         a, b = span
-        om, bo = _segment_factor_counts(a, b, hits, thresholds)
-        return FactorCensus(a, b, om, bo)
+        return FactorCensus(a, b, f_tag, _segment_factor_counts(a, b, hits, thresholds))
 
     return _pipelined(worker, iter_ranges(lo, hi, segment_size), threads)
 
@@ -253,8 +254,9 @@ def sieve_census(
     hi: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
+    f_tag: str = "big_omega",
 ) -> FactorCensus:
-    """Exact omega/big_omega for every n in [lo, hi).
+    """Exact count of f_tag, "omega" or "big_omega", for every n in [lo, hi).
 
     Parameters
     ----------
@@ -269,17 +271,15 @@ def sieve_census(
     Returns
     -------
     FactorCensus
-        uint8 count arrays of length hi - lo.
+        One uint8 count array of length hi - lo.
     """
-    segments = iter_factor_segments(lo, hi, segment_size, threads)  # checks the range first
+    segments = iter_factor_segments(lo, hi, segment_size, threads, f_tag)  # checks first
     span = hi - lo
-    require_budget(2 * span + WORKING_BYTES_PER_N * min(segment_size, span), "factor census")
-    omega = np.empty(span, dtype=np.uint8)
-    big_omega = np.empty(span, dtype=np.uint8)
+    require_budget(span + WORKING_BYTES_PER_N * min(segment_size, span), "factor census")
+    f = np.empty(span, dtype=np.uint8)
     for seg in segments:
-        omega[seg.lo - lo : seg.hi - lo] = seg.omega
-        big_omega[seg.lo - lo : seg.hi - lo] = seg.big_omega
-    return FactorCensus(lo, hi, omega, big_omega)
+        f[seg.lo - lo : seg.hi - lo] = seg.f
+    return FactorCensus(lo, hi, f_tag, f)
 
 
 def factorize(n: int) -> list[int]:

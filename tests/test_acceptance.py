@@ -72,11 +72,12 @@ def full_report(power_set_5, g_at_top):
 
 def test_c01_sieve_matches_trial_division_to_1e5():
     start = time.monotonic()
-    seg = sieve_census(1, 100_000)
+    omega = sieve_census(1, 100_000, f_tag="omega").values("omega")
+    big_omega = sieve_census(1, 100_000, f_tag="big_omega").values("big_omega")
     bad = 0
     for n in range(1, 100_000):
         fs = factorize_slow(n)
-        if seg.omega_of(n) != len(set(fs)) or seg.big_omega_of(n) != len(fs):
+        if omega[n - 1] != len(set(fs)) or big_omega[n - 1] != len(fs):
             bad += 1
     elapsed = time.monotonic() - start
     ok = bad == 0 and elapsed < 10.0
@@ -163,9 +164,9 @@ def _tail_bands(x: int, threshold: float, whole) -> dict[int, int]:
 def _deviation_square_sums(grid) -> dict[int, float]:
     """S2(x) = sum over 2 <= n <= x of (omega(n) - log log n)**2 at every grid x, one sweep."""
     parts = {x: [] for x in grid}
-    for seg in iter_factor_segments(2, max(grid) + 1):
+    for seg in iter_factor_segments(2, max(grid) + 1, f_tag="omega"):
         n = np.arange(seg.lo, seg.hi, dtype=np.float64)
-        sq = (seg.omega - np.log(np.log(n))) ** 2
+        sq = (seg.values("omega") - np.log(np.log(n))) ** 2
         for x in grid:
             if seg.lo <= x:
                 parts[x].append(float(sq[: min(x + 1, seg.hi) - seg.lo].sum()))

@@ -82,10 +82,12 @@ def test_buffers_sized_only_after_the_range_check(monkeypatch):
 
 
 def test_add_level_counts_matches_bincount():
-    # Levels below 16 take one pass per level, higher ones bincount.
+    # Levels below 16 take one pass per level, higher ones bincount in
+    # chunks of 2**16, which the longer input splits with a short last one.
     rng = np.random.default_rng(7)
-    for top in (0, 1, 15, 16, 63):
-        values = rng.integers(0, top + 1, 5000).astype(np.uint8)
+    cases = ((0, 5000), (1, 5000), (15, 5000), (16, 5000), (63, 5000), (127, 3 << 16 | 5))
+    for top, size in cases:
+        values = rng.integers(0, top + 1, size).astype(np.uint8)
         acc = np.zeros(256, dtype=np.int64)
         acc[3] = 5
         add_level_counts(acc, values)

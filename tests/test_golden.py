@@ -82,6 +82,23 @@ GOLDEN = {
                 "82215596a004ad755a7e201d02b507faf23f8488033853aa9a5e56a1b45137c7",
         },
     ),
+    # omega counts each prime power at 1 too, so phi must tell them from primes.
+    "phi-omega": (
+        ["phi", "--x", X, "--f", "omega"],
+        {
+            "phi_omega_x100000.json":
+                "88977401297a3b82c023160c04fd490f6804961306827532c71866f6625790f4",
+        },
+    ),
+    "report-omega-paper": (
+        ["report", "--grid", "1000,10000," + X, "--f", "omega", "--set", "paper", "--count", "12"],
+        {
+            "report.csv":
+                "f18e0fde913fff8956443e00f91105dd67eeb83aba2a93f93e8bb32cc43c79d6",
+            "report.json":
+                "04ba0206e677a8ebf10b455da67520e95f09521726dd363cbba386fd4c9f2373",
+        },
+    ),
 }
 
 

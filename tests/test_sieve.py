@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from omega_proximity import sieve
 from omega_proximity.errors import CapacityError
 from omega_proximity.sieve import (
+    F_TAGS,
     factorize,
     is_prime,
     next_prime,
@@ -88,50 +89,83 @@ def test_factorize():
 
 
 def test_sieve_first_dozen():
-    seg = sieve_census(1, 13)
-    assert list(seg.big_omega) == [0, 1, 1, 2, 1, 2, 1, 3, 2, 2, 1, 3]
-    assert list(seg.omega) == [0, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 2]
+    big_omega = sieve_census(1, 13, f_tag="big_omega")
+    omega = sieve_census(1, 13, f_tag="omega")
+    assert list(big_omega.f) == [0, 1, 1, 2, 1, 2, 1, 3, 2, 2, 1, 3]
+    assert list(omega.f) == [0, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 2]
 
 
 def test_sieve_matches_oracle_to_2000():
-    seg = sieve_census(1, 2000)
+    omega = sieve_census(1, 2000, f_tag="omega").values("omega")
+    big_omega = sieve_census(1, 2000, f_tag="big_omega").values("big_omega")
     for n in range(1, 2000):
-        assert seg.omega_of(n) == omega_slow(n), n
-        assert seg.big_omega_of(n) == big_omega_slow(n), n
+        assert omega[n - 1] == omega_slow(n), n
+        assert big_omega[n - 1] == big_omega_slow(n), n
 
 
 def test_sieve_interior_window():
-    seg = sieve_census(990, 1010)
-    assert seg.omega_of(999) == 2
-    assert seg.big_omega_of(999) == 4
+    assert sieve_census(990, 1010, f_tag="omega").values("omega")[999 - 990] == 2
+    assert sieve_census(990, 1010, f_tag="big_omega").values("big_omega")[999 - 990] == 4
 
 
 def test_values_accessor():
-    seg = sieve_census(1, 50)
-    assert np.array_equal(seg.values("omega"), seg.omega)
-    assert np.array_equal(seg.values("big_omega"), seg.big_omega)
+    # A segment holds the one tag its sweep computed and refuses the other,
+    # or a misspelt one, rather than hand back the wrong counts.
+    for tag, other in (("omega", "big_omega"), ("big_omega", "omega")):
+        seg = sieve_census(1, 50, f_tag=tag)
+        assert seg.f_tag == tag
+        assert seg.values(tag) is seg.f
+        for wrong in (other, "bigomega"):
+            with pytest.raises(ValueError):
+                seg.values(wrong)
+
+
+def test_unknown_tag_refused_before_any_buffer(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be swept or allocated")
+
+    monkeypatch.setattr(sieve, "require_budget", never)
+    monkeypatch.setattr(sieve, "primes_up_to", never)
+    monkeypatch.setattr(sieve, "_segment_factor_counts", never)
+    monkeypatch.setattr(np, "empty", never)
+    for tag in ("bigomega", "Omega", "mu"):
+        with pytest.raises(ValueError, match="f_tag"):
+            sieve.iter_factor_segments(1, 100, 64, 1, tag)
+        with pytest.raises(ValueError, match="f_tag"):
+            sieve_census(1, 100, f_tag=tag)
+
+
+def test_sweep_call_shape_of_the_benchmark():
+    # perfbench's layer probes call iter_factor_segments(lo, hi,
+    # segment_size, threads) positionally and count hi - lo per segment;
+    # the probe and the sweep-count gate hold only while that call works.
+    lo, hi = 10**6 - 1000, 10**6 + 3000
+    segments = list(sieve.iter_factor_segments(lo, hi, 1024, 2))
+    assert sum(seg.hi - seg.lo for seg in segments) == hi - lo
+    assert [seg.lo for seg in segments] == list(range(lo, hi, 1024))
+    assert all(len(seg.f) == seg.hi - seg.lo for seg in segments)
 
 
 def test_segment_size_independence():
-    base = sieve_census(1, 5000)
-    for size in (64, 128, 1024):
-        other = sieve_census(1, 5000, segment_size=size)
-        assert np.array_equal(base.omega, other.omega)
-        assert np.array_equal(base.big_omega, other.big_omega)
+    for tag in F_TAGS:
+        base = sieve_census(1, 5000, f_tag=tag)
+        for size in (64, 128, 1024):
+            other = sieve_census(1, 5000, segment_size=size, f_tag=tag)
+            assert np.array_equal(base.f, other.f), (tag, size)
 
 
 def test_segment_independence_interior():
-    base = sieve_census(1000, 3000)
-    other = sieve_census(1000, 3000, segment_size=64)
-    assert np.array_equal(base.omega, other.omega)
-    assert np.array_equal(base.big_omega, other.big_omega)
+    for tag in F_TAGS:
+        base = sieve_census(1000, 3000, f_tag=tag)
+        other = sieve_census(1000, 3000, segment_size=64, f_tag=tag)
+        assert np.array_equal(base.f, other.f), tag
 
 
 def test_thread_count_independence():
-    base = sieve_census(1, 20000, segment_size=1024)
-    other = sieve_census(1, 20000, segment_size=1024, threads=3)
-    assert np.array_equal(base.omega, other.omega)
-    assert np.array_equal(base.big_omega, other.big_omega)
+    for tag in F_TAGS:
+        base = sieve_census(1, 20000, segment_size=1024, f_tag=tag)
+        other = sieve_census(1, 20000, segment_size=1024, threads=3, f_tag=tag)
+        assert np.array_equal(base.f, other.f), tag
 
 
 @settings(max_examples=20, deadline=None)
@@ -150,10 +184,13 @@ def test_sieve_windows_match_factorize(lo, span):
     # kernel of tests/oracles.py switches from uint32 to int64 covered.
     want = [factorize(n) for n in range(lo, lo + span)]
     for threads in (1, 2):
-        seg = sieve_census(lo, lo + span, segment_size=64, threads=threads)
+        omega, big_omega = (
+            sieve_census(lo, lo + span, segment_size=64, threads=threads, f_tag=tag).values(tag)
+            for tag in ("omega", "big_omega")
+        )
         for n, fs in zip(range(lo, lo + span), want):
-            assert seg.omega_of(n) == len(set(fs)), (n, threads)
-            assert seg.big_omega_of(n) == len(fs), (n, threads)
+            assert omega[n - lo] == len(set(fs)), (n, threads)
+            assert big_omega[n - lo] == len(fs), (n, threads)
 
 
 @settings(max_examples=20, deadline=None)
@@ -166,12 +203,12 @@ def test_kernel_matches_product_kernel_across_bands(b, before, after):
     lo, hi = max(1, (1 << b) - before), (1 << b) + after
     root = math.isqrt(hi - 1)
     primes = primes_up_to(root).primes.tolist() if root >= 2 else []
-    want_omega, want_big_omega = segment_factor_counts_product(lo, hi, primes)
-    for segment_size in (64, 1 << 20):
-        for threads in (1, 2):
-            seg = sieve_census(lo, hi, segment_size=segment_size, threads=threads)
-            assert np.array_equal(seg.omega, want_omega), (segment_size, threads)
-            assert np.array_equal(seg.big_omega, want_big_omega), (segment_size, threads)
+    want = dict(zip(("omega", "big_omega"), segment_factor_counts_product(lo, hi, primes)))
+    for tag in F_TAGS:
+        for segment_size in (64, 1 << 20):
+            for threads in (1, 2):
+                seg = sieve_census(lo, hi, segment_size=segment_size, threads=threads, f_tag=tag)
+                assert np.array_equal(seg.values(tag), want[tag]), (tag, segment_size, threads)
 
 
 def test_band_thresholds_separate_every_band():
@@ -186,26 +223,38 @@ def test_band_thresholds_separate_every_band():
     try:
         for limit in (2, 3, 5, 7, 10**6):
             table = primes[primes <= limit]
-            hits, thresholds = sieve._sieve_tables(table, 2**63 - 1)
             weights = [round(3 * math.log2(p)) for p in table.tolist()]
-            assert hits == [(p, 256 + c, 65536 + c) for p, c in zip(table.tolist(), weights)]
+            # A prime hit carries 1 into the high byte and takes c_p off the
+            # low one; a power hit does the same for big_omega, and for omega
+            # wraps to -c_p alone.
+            tables = {}
+            for tag, power_carry in (("big_omega", 256), ("omega", 65536)):
+                hits, tables[tag] = sieve._sieve_tables(table, 2**63 - 1, tag)
+                assert hits == [
+                    (p, 256 - c, power_carry - c) for p, c in zip(table.tolist(), weights)
+                ], tag
+            thresholds = tables["omega"]
+            assert tables["big_omega"] == thresholds
             exact = [mpmath.mpf(c) / mpmath.log(p, 2) for p, c in zip(table.tolist()[:4], weights)]
             r_min, r_max = min(exact), max(exact)
             assert len(thresholds) == 63 and thresholds[0] == 0
             for b in range(1, 63):
                 sieved = math.isqrt((2 << b) - 1)  # largest sieved part with a cofactor
                 assert r_max * mpmath.log(sieved, 2) < thresholds[b] <= r_min * b, (limit, b)
-            # S(n) <= r_max log2 n < 200 below 2**63: byte 0 never carries.
-            assert r_max * 63 < 200
+            # S(n) <= r_max log2 n < 200 below 2**63: the low byte, 255 - S(n),
+            # never borrows, and no T_b reaches 256.
+            assert r_max * 63 < 200 and max(thresholds) < 256
     finally:
         mpmath.mp.dps = 15
     # The bound caps S at 198 below 2**63, reached at 2 * 3**39; 2**62 has
-    # S = 186.  Only 2 and 3 hit those n, so a table of the two gives the
-    # same word as the full one.
-    hits, thresholds = sieve._sieve_tables(primes[:2], 2**63 - 1)
-    for n, want in ((2 * 3**39, (2, 40)), (2**62, (1, 62))):
-        omega, big_omega = sieve._segment_factor_counts(n, n + 1, hits, thresholds)
-        assert (int(omega[0]), int(big_omega[0])) == want, n
+    # S = 186; n = 1 has S = 0 and T_0 = 0, so no carry.  Only 2 and 3 hit
+    # those n, so a table of the two gives the same word as the full one.
+    cases = {1: (0, 0), 2 * 3**39: (2, 40), 2**62: (1, 62)}
+    for i, tag in enumerate(("omega", "big_omega")):
+        hits, thresholds = sieve._sieve_tables(primes[:2], 2**63 - 1, tag)
+        for n, want in cases.items():
+            f = sieve._segment_factor_counts(n, n + 1, hits, thresholds)
+            assert f.dtype == np.uint8 and int(f[0]) == want[i], (tag, n)
 
 
 def test_threads_capped_at_cpu_count(monkeypatch):
@@ -232,11 +281,11 @@ def test_threads_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(sieve, "ThreadPoolExecutor", SyncPool)
     # Uncapped, 10**6 threads of 1024-integer segments would also fail the
     # default 2048 MB budget.
-    capped = sieve_census(1, 20_000, segment_size=1024, threads=10**6)
-    assert asked == [2]
-    base = sieve_census(1, 20_000, segment_size=1024)
-    assert np.array_equal(capped.omega, base.omega)
-    assert np.array_equal(capped.big_omega, base.big_omega)
+    for tag in F_TAGS:
+        capped = sieve_census(1, 20_000, segment_size=1024, threads=10**6, f_tag=tag)
+        base = sieve_census(1, 20_000, segment_size=1024, f_tag=tag)
+        assert np.array_equal(capped.f, base.f), tag
+    assert asked == [2, 2]
 
 
 def test_additivity_on_coprime_pairs():
@@ -257,9 +306,10 @@ def test_equal_counts_iff_squarefree():
     for p in range(2, int(limit**0.5) + 1):
         for m in range(p * p, limit + 1, p * p):
             squarefree[m] = False
-    seg = sieve_census(1, limit + 1)
+    omega = sieve_census(1, limit + 1, f_tag="omega").values("omega")
+    big_omega = sieve_census(1, limit + 1, f_tag="big_omega").values("big_omega")
     for n in range(1, limit + 1):
-        assert (seg.omega_of(n) == seg.big_omega_of(n)) == squarefree[n], n
+        assert (omega[n - 1] == big_omega[n - 1]) == squarefree[n], n
 
 
 def test_range_validation():
