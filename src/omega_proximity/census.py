@@ -16,7 +16,7 @@ import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE
 from .primeset import PrimeSetS, coprime_mask
-from .sieve import F_TAGS, iter_factor_segments
+from .sieve import F_TAGS, FactorCensus, iter_factor_segments
 
 
 def normalize_f(tag: str) -> str:
@@ -71,6 +71,35 @@ def add_level_counts(acc: np.ndarray, values: np.ndarray) -> None:
             acc[k] += np.count_nonzero(values == k)
 
 
+def add_level_snapshots(hist: np.ndarray, seg: FactorCensus, levels: np.ndarray, cutoffs: list[int],
+                        snapshots: dict[int, np.ndarray], keep: np.ndarray | None = None) -> None:
+    """Add levels, one per entry of seg (or per entry where keep is True), to
+    hist, and copy hist into snapshots[y] once every entry n <= y is in, for
+    each ascending cutoff y not yet taken; entries past the last are skipped."""
+    start = 0
+    for y in cutoffs[len(snapshots) :]:
+        end = min((y - seg.lo) // seg.step + 1, len(seg.f))  # entries n <= y
+        if keep is not None:
+            end = int(np.count_nonzero(keep[:end]))
+        add_level_counts(hist, levels[start:end])
+        if y >= seg.hi:
+            break
+        snapshots[y], start = hist.copy(), end
+
+
+def lift_odd_levels(snapshots: dict[int, np.ndarray], x: int, f_tag: str) -> np.ndarray:
+    """Level histogram over 1..x from snapshots[x >> a], those over odd m <= x >> a.
+
+    f is additive, so for a >= 1 n = 2**a m sits f(2**a) = 1 (omega) or a
+    (big_omega) levels above m; f(n) <= 63 keeps every shifted level in range.
+    """
+    acc = np.zeros_like(snapshots[x])
+    for a in range(x.bit_length()):
+        shift = a if f_tag == "big_omega" else min(a, 1)
+        acc[shift:] += snapshots[x >> a][: len(acc) - shift]
+    return acc
+
+
 def census(
     x: int,
     f_tag: str,
@@ -78,7 +107,7 @@ def census(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> CensusTable:
-    """Exact level census of f over 1..x.
+    """Exact level census of f over 1..x, from one sweep of the odd n.
 
     Parameters
     ----------
@@ -98,12 +127,15 @@ def census(
         raise ValueError(f"census requires x >= 1, got {x}")
     tag = normalize_f(f_tag)
     members = restrict.members if restrict is not None else ()
-    acc = np.zeros(256, dtype=np.int64)
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag):
-        values = seg.values(tag)
-        if members:
-            values = values[coprime_mask(seg.lo, seg.hi, members)]
-        add_level_counts(acc, values)
+    # A set with 2 admits odd n only; a member of any other divides 2**a m iff it divides m.
+    lift = 2 not in members
+    cutoffs, snapshots = sorted(x >> a for a in range(x.bit_length() if lift else 1)), {}
+    hist = np.zeros(256, dtype=np.int64)
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
+        keep = coprime_mask(seg.lo, seg.hi, members, 2) if members else None
+        values = seg.values(tag) if keep is None else seg.values(tag)[keep]
+        add_level_snapshots(hist, seg, values, cutoffs, snapshots, keep)
+    acc = lift_odd_levels(snapshots, x, tag) if lift else snapshots[x]
     counts = {int(k): int(c) for k, c in enumerate(acc) if c}
     return CensusTable(x, tag, restrict, counts)
 

@@ -17,8 +17,11 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from .budget import DEFAULT_SEGMENT_SIZE
 from .census import (
+    add_level_counts,
     census,
     census_csv_lines,
     census_metadata,
@@ -44,7 +47,7 @@ from .proximity import (
     report_csv_lines,
     report_json_dict,
 )
-from .sieve import MAX_X, factorize, sieve_census
+from .sieve import MAX_X, factorize, iter_factor_segments, sieve_census
 
 F_FLAG = {"omega": "omega", "bigomega": "big_omega"}
 DEFAULT_GRID = "10000,100000,1000000,10000000"
@@ -160,17 +163,20 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_g_result(args: argparse.Namespace, command: str, g_payload: dict, fields: dict) -> str:
+    """Write <command>_<f>_x<x>.json: x, f, fields and the configuration hash."""
+    tag = F_FLAG[args.f]
+    digest = config_hash({"command": command, "x": args.x, "f": tag, **g_payload})
+    out_path = os.path.join(args.out, f"{command}_{args.f}_x{args.x}.json")
+    _write_json(out_path, {"x": args.x, "f": tag, **fields, "config_hash": digest})
+    return out_path
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
     g, _, g_payload = _resolve_g(args, args.x, tag)
     value = coincidence_count(args.x, tag, g, args.segment_size, args.threads)
-    payload = {"command": "count", "x": args.x, "f": tag, **g_payload}
-    digest = config_hash(payload)
-    out_path = os.path.join(args.out, f"count_{args.f}_x{args.x}.json")
-    _write_json(
-        out_path,
-        {"x": args.x, "f": tag, "E": value, "g": g.to_json_dict(), "config_hash": digest},
-    )
+    out_path = _write_g_result(args, "count", g_payload, {"E": value, "g": g.to_json_dict()})
     print(f"E = {value}")
     print(f"wrote {out_path}")
     return 0
@@ -182,20 +188,8 @@ def cmd_certificate(args: argparse.Namespace) -> int:
     if pset is None or not pset.members:
         raise ValueError("certificate requires a nonempty prime set (via --g or set flags)")
     l_count, checked = certificate_count(args.x, pset, g, tag, args.segment_size, args.threads)
-    payload = {"command": "certificate", "x": args.x, "f": tag, **g_payload}
-    digest = config_hash(payload)
-    out_path = os.path.join(args.out, f"certificate_{args.f}_x{args.x}.json")
-    _write_json(
-        out_path,
-        {
-            "x": args.x,
-            "f": tag,
-            "L": l_count,
-            "witnesses_checked": checked,
-            "g": g.to_json_dict(),
-            "config_hash": digest,
-        },
-    )
+    fields = {"L": l_count, "witnesses_checked": checked, "g": g.to_json_dict()}
+    out_path = _write_g_result(args, "certificate", g_payload, fields)
     print(f"L = {l_count} (witnesses checked: {checked})")
     print(f"wrote {out_path}")
     return 0
@@ -270,6 +264,14 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     t_big = census(x, "big_omega", segment_size=seg, threads=threads)
     ok = t_omega.total() == x and t_big.total() == x
     checks.append(("census-partition", ok, f"totals at x={x}"))
+
+    # The odd-only censuses, lifted to every n, match one full sweep per tag.
+    full = {t.f_tag: (t.counts, np.zeros(256, dtype=np.int64)) for t in (t_omega, t_big)}
+    for tag, (_, hist) in full.items():
+        for segment in iter_factor_segments(1, x + 1, seg, threads, tag):
+            add_level_counts(hist, segment.values(tag))
+    ok = all(counts == {k: int(c) for k, c in enumerate(hist) if c} for counts, hist in full.values())
+    checks.append(("census-lift", ok, f"odd sweep lifted = full sweep at x={x}, both tags"))
 
     # Known small values.
     t100 = census(100, "omega")
@@ -357,7 +359,7 @@ def _add_common(p: argparse.ArgumentParser, with_x: bool = True) -> None:
     if with_x:
         p.add_argument("--x", type=sweep_bound, required=True, help="inclusive upper bound")
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
-                   help="sieve chunk length (>= 64)")
+                   help="entries per sieve segment (>= 64); results do not depend on this")
     p.add_argument("--threads", type=positive_int, default=1,
                    help="worker threads; results do not depend on this")
     p.add_argument("--out", default=".", help="output directory")

@@ -142,11 +142,13 @@ def density_constant(s: "PrimeSetS | Sequence[int]") -> float:
     return out
 
 
-def coprime_mask(lo: int, hi: int, members: Sequence[int]) -> np.ndarray:
-    """Boolean array over [lo, hi): True where n shares no factor with members."""
-    mask = np.ones(hi - lo, dtype=bool)
+def coprime_mask(lo: int, hi: int, members: Sequence[int], step: int = 1) -> np.ndarray:
+    """Boolean array over n = lo + step * i in [lo, hi): True where n shares
+    no factor with members.  With step 2 (lo odd) the member 2 divides no n."""
+    mask = np.ones(len(range(lo, hi, step)), dtype=bool)
     for m in members:
-        mask[-lo % m :: m] = False  # from the first multiple of m in range
+        if step % m:
+            mask[(m - lo) % (step * m) // step :: m] = False  # from the first multiple in range
     return mask
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
-from .census import add_level_counts, normalize_f
+from .census import add_level_snapshots, lift_odd_levels, normalize_f
 from .errors import CertificateError
 from .gfunction import GFunction
 from .primeset import PrimeSetS
@@ -159,14 +159,10 @@ def certificate_count(
             hits[-seg.lo % p :: p] += 1
             want[-seg.lo % p :: p] = min(table[p], G_SATURATION)
         # r route: lift members' multiples above every kept level; snapshot at cutoffs.
-        levels = f + (hits != 0) * np.uint8(G_SATURATION)
-        start = 0
-        for y in cutoffs[len(snapshots) :]:
-            end = min(y + 1, seg.hi) - seg.lo
-            add_level_counts(hist, levels[start:end])
-            if y >= seg.hi:
-                break
-            snapshots[y], start = hist.copy(), end
+        levels = np.minimum(hits, 1)  # one temporary, then in place
+        levels *= G_SATURATION
+        levels += f
+        add_level_snapshots(hist, seg, levels, cutoffs, snapshots)
         # n route, with every witness checked against the full g table.
         witness = (hits == 1) & (f == want)
         found = int(np.count_nonzero(witness))
@@ -261,34 +257,37 @@ def phi_diagnostics(
     rising k_of_x is the empirical trend that keeps every single level a
     vanishing share of the integers.
 
-    One sweep of [1, x] fills a level histogram and writes 1/p for each
-    prime, an n with f(n) == 1 that is no prime power p**a (a >= 2, listed
-    first), into a buffer sized by pi(x) < 1.25506 x / ln x
-    (Rosser-Schoenfeld), ascending whatever the segments or threads.  The
-    exponent-1 terms are np.sum over it: the pairwise summation tree depends
-    only on the length, so the floats match summing a prime table; math.fsum
-    would round differently and change the printed A and B.
+    One sweep of the odd n <= x fills a level histogram, lifted to 1..x by
+    census.lift_odd_levels, and writes 1/p for each prime (2, then each odd
+    n with f(n) == 1 that is no prime power p**a, a >= 2, listed first) into
+    a buffer sized by pi(x) < 1.25506 x / ln x (Rosser-Schoenfeld), ascending
+    whatever the segments or threads.  The exponent-1 terms are np.sum over
+    it: the pairwise summation tree depends only on the length, so the floats
+    match a prime table's; math.fsum would round, and print A and B, otherwise.
     """
     if x < 2:
         raise ValueError(f"phi_diagnostics requires x >= 2, got {x}")
     tag = normalize_f(f_tag)
-    segments = iter_factor_segments(1, x + 1, segment_size, threads, tag)  # checks x first
+    segments = iter_factor_segments(1, x + 1, segment_size, threads, tag, 2)  # checks x first
     cap = int(1.25506 * x / math.log(x)) + 1
     require_budget(8 * cap + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
     roots = primes_up_to(max(2, math.isqrt(x))).primes.tolist()
     # The float log may fall one short at an exact power, hence + 2 and the test.
     powers = [(p, a, p**a) for p in roots for a in range(2, int(math.log(x, p)) + 2) if p**a <= x]
-    sorted_powers = np.sort(np.array([q for _, _, q in powers], dtype=np.int64))
+    odd_powers = np.sort(np.array([q for p, _, q in powers if p > 2], dtype=np.int64))
     recips = np.empty(cap, dtype=np.float64)  # unwritten pages are never faulted in
+    recips[0], k = 0.5, 1  # the one even prime
+    cutoffs, snapshots = sorted(x >> a for a in range(x.bit_length())), {}
     levels = np.zeros(256, dtype=np.int64)
-    k = 0
     for seg in segments:
         f = seg.values(tag)
-        add_level_counts(levels, f)
-        ones = f == 1
-        i, j = np.searchsorted(sorted_powers, (seg.lo, seg.hi))
-        ones[sorted_powers[i:j] - seg.lo] = False
-        ps = np.flatnonzero(ones) + seg.lo
+        add_level_snapshots(levels, seg, f, cutoffs, snapshots)
+        ones = np.equal(f, 1, out=f.view(bool))  # f is read no more: reuse its bytes
+        i, j = np.searchsorted(odd_powers, (seg.lo, seg.hi))
+        ones[(odd_powers[i:j] - seg.lo) >> 1] = False
+        ps = np.flatnonzero(ones)
+        ps *= 2
+        ps += seg.lo
         np.divide(1.0, ps, out=recips[k : k + len(ps)])
         k += len(ps)
     recips = recips[:k]
@@ -300,7 +299,7 @@ def phi_diagnostics(
         fv = 1 if tag == "omega" else a
         a_sum += fv * (1.0 - 1.0 / p)
         b_sum += (fv * fv) / power
-    max_count = int(levels.max())
+    max_count = int(lift_odd_levels(snapshots, x, tag).max())
     return PhiDiagnostics(x, tag, a_sum, b_sum, b_sum / a_sum, max_count, x / max_count)
 
 

@@ -47,16 +47,17 @@ class PrimeList:
 
 @dataclass(frozen=True)
 class FactorCensus:
-    """Counts of one tag, omega or big_omega, for the half-open range [lo, hi).
+    """Counts of one tag, omega or big_omega, over the half-open range [lo, hi).
 
-    f[i] holds the count for n = lo + i as uint8; big_omega(n) <=
-    floor(log2 n) < 64 keeps that width safe.  n = 1 counts zero.
+    f[i] holds the count for n = lo + step * i as uint8 (step 2: the odd n);
+    big_omega(n) <= floor(log2 n) < 64 keeps that width safe.  n = 1 counts zero.
     """
 
     lo: int
     hi: int
     f_tag: str
     f: np.ndarray
+    step: int = 1
 
     def values(self, f_tag: str) -> np.ndarray:
         if f_tag != self.f_tag:
@@ -142,8 +143,9 @@ def next_prime(n: int | float) -> int:
     return c
 
 
-def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Kernel increments (p, prime hit, power hit) and band thresholds T_b.
+def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str) -> tuple[list[tuple], list[np.uint16]]:
+    """Kernel increments (p, prime hit, power hit) and band thresholds T_b,
+    as np.uint16 scalars, which a uint16 slice adds with no conversion.
 
     The word of n starts at 255.  A hit of p adds 256 - c_p, c_p =
     round(3 log2 p) >= 3: the low byte keeps 255 - S(n), S(n) = sum of
@@ -169,33 +171,34 @@ def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str) -> tuple[list[tuple[i
     if r_max * top >= 256 or any(t > r_min * b - 1e-9 for b, t in enumerate(thresholds) if b):
         raise ArithmeticError(f"log weights do not separate the bands below {hi}")
     power_carry = 256 if f_tag == "big_omega" else 65536
-    hits = [(p, 256 - c, power_carry - c) for p, c in zip(primes.tolist(), weights.tolist())]
-    return hits, thresholds
+    u16 = np.uint16
+    hits = [(p, u16(256 - c), u16(power_carry - c)) for p, c in zip(primes.tolist(), weights.tolist())]
+    return hits, [u16(t) for t in thresholds]
 
 
 def _segment_factor_counts(
-    lo: int, hi: int, hits: list[tuple[int, int, int]], thresholds: list[int]
+    lo: int, hi: int, hits: list[tuple], thresholds: list[np.uint16], step: int = 1
 ) -> np.ndarray:
-    """Pure worker: f for [lo, hi) as uint8, from _sieve_tables' output.
+    """Pure worker: f at n = lo + step * i in [lo, hi) as uint8, from the
+    output of _sieve_tables, whose primes must not divide step.
 
-    One strided read-modify-write per hit on one uint16 word per n; then
+    One strided read-modify-write per hit on one uint16 word per entry; then
     adding T_b carries a prime factor above the sieve primes into the high
-    byte, which the shift brings down.
-    """
-    span = hi - lo
+    byte, which the shift brings down."""
+    span = len(range(lo, hi, step))
     word = np.full(span, 255, dtype=np.uint16)
     for p, hit, power_hit in hits:
         q, add = p, hit
         while q < hi:
-            first = -lo % q  # offset of the first multiple of q
+            first = (q - lo) % (step * q) // step  # index of the first (odd) multiple of q
             if first >= span:  # then no multiple of a higher power either
                 break
             word[first::q] += add
             q, add = q * p, power_hit
     for b in range(lo.bit_length() - 1, (hi - 1).bit_length()):
-        word[max(lo, 1 << b) - lo : min(hi, 2 << b) - lo] += thresholds[b]
-    word >>= 8
-    return word.astype(np.uint8)
+        a, z = max(lo, 1 << b) - lo, min(hi, 2 << b) - lo
+        word[-(-a // step) : -(-z // step)] += thresholds[b]  # entries with a <= n - lo < z
+    return np.right_shift(word, 8, out=np.empty(span, dtype=np.uint8), casting="unsafe")
 
 
 def _pipelined(worker: Callable, items: Iterable, threads: int) -> Iterator:
@@ -220,33 +223,35 @@ def iter_factor_segments(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
     f_tag: str = "big_omega",
+    step: int = 1,
 ) -> Iterator[FactorCensus]:
-    """FactorCensus segments of f_tag covering [lo, hi) in ascending order.
+    """FactorCensus segments of f_tag at n = lo + step * i in [lo, hi), ascending.
 
-    The range and tag are checked at the call, before any segment.  Segments
-    never change the counts; workers share only the read-only tables, so
-    results are identical for any threads value, capped at the CPU count.
+    step 1 sweeps every n, step 2 the odd n from an odd lo, segment_size
+    entries per segment either way.  Range, step and tag are checked at the
+    call, before any segment.  Segments never change the counts; workers share
+    only read-only tables, so results are identical for any threads value.
     """
     if f_tag not in F_TAGS:
         raise ValueError(f"f_tag must be one of {F_TAGS}, got {f_tag!r}")
+    if step not in (1, 2) or step == 2 and lo % 2 == 0:
+        raise ValueError(f"step must be 1, or 2 from an odd lo; got step={step}, lo={lo}")
     if lo < 1 or hi <= lo or hi > MAX_X + 1:
         raise ValueError(f"need 1 <= lo < hi <= {MAX_X + 1}, got lo={lo}, hi={hi}")
     if segment_size < MIN_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
     threads = min(threads, os.cpu_count() or 1)  # more would only contend
-    require_budget(
-        WORKING_BYTES_PER_N * min(segment_size, hi - lo) * max(1, threads),
-        "segmented sieve",
-    )
+    entries = min(segment_size, len(range(lo, hi, step)))
+    require_budget(WORKING_BYTES_PER_N * entries * max(1, threads), "segmented sieve")
     root = math.isqrt(hi - 1)
     sieve_primes = primes_up_to(root).primes if root >= 2 else np.empty(0, dtype=np.int64)
-    hits, thresholds = _sieve_tables(sieve_primes, hi, f_tag)
+    hits, thresholds = _sieve_tables(sieve_primes[step - 1 :], hi, f_tag)  # 2 leads; step 2 skips it
 
     def worker(span: tuple[int, int]) -> FactorCensus:
         a, b = span
-        return FactorCensus(a, b, f_tag, _segment_factor_counts(a, b, hits, thresholds))
+        return FactorCensus(a, b, f_tag, _segment_factor_counts(a, b, hits, thresholds, step), step)
 
-    return _pipelined(worker, iter_ranges(lo, hi, segment_size), threads)
+    return _pipelined(worker, iter_ranges(lo, hi, step * segment_size), threads)
 
 
 def sieve_census(

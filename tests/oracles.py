@@ -122,9 +122,11 @@ def phi_slow(x: int, f_tag: str) -> tuple[float, float, float, int]:
 
     The exponent-1 terms are np.sum over ascending float64 arrays of 1 - 1/p
     and 1/p; the terms of p**a with a >= 2 are then added one at a time,
-    p ascending and a ascending within each p.
+    p ascending and a ascending within each p.  Primes and levels come from
+    a smallest-prime-factor table over 1..x.
     """
-    primes = [p for p in range(2, x + 1) if is_prime_slow(p)]
+    spf = smallest_prime_factors_slow(x)
+    primes = [p for p in range(2, x + 1) if spf[p] == p]
     inv = 1.0 / np.array(primes, dtype=np.float64)
     a_sum = float(np.sum(1.0 - inv))
     b_sum = float(np.sum(inv))
@@ -137,7 +139,30 @@ def phi_slow(x: int, f_tag: str) -> tuple[float, float, float, int]:
             b_sum += (fv * fv) / power
             power *= p
             a += 1
-    return a_sum, b_sum, b_sum / a_sum, max(census_slow(x, f_tag).values())
+    counts: dict[int, int] = {}
+    for n in range(1, x + 1):
+        k, m = 0, n
+        while m > 1:
+            p = spf[m]
+            k += 1
+            m //= p
+            if f_tag == "omega":
+                while m % p == 0:
+                    m //= p
+        counts[k] = counts.get(k, 0) + 1
+    return a_sum, b_sum, b_sum / a_sum, max(counts.values())
+
+
+def smallest_prime_factors_slow(x: int) -> list[int]:
+    """spf[n] = smallest prime factor of n for 2 <= n <= x, by the sieve of
+    Eratosthenes on a plain list; fast enough for phi_slow at x = 2**20."""
+    spf = list(range(x + 1))
+    for p in range(2, math.isqrt(x) + 1):
+        if spf[p] == p:
+            for m in range(p * p, x + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
 
 
 def segment_factor_counts_product(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:

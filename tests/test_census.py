@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omega_proximity import sieve
 from omega_proximity.census import (
@@ -19,7 +21,7 @@ from omega_proximity.census import (
     mode_k,
     normalize_f,
 )
-from omega_proximity.primeset import coprime_count_inclusion_exclusion, power_prime_set
+from omega_proximity.primeset import PrimeSetS, coprime_count_inclusion_exclusion, power_prime_set
 from omega_proximity.proximity import phi_diagnostics
 
 from oracles import census_slow, concentration_tail_slow, mode_slow
@@ -108,6 +110,45 @@ def test_restricted_census_matches_oracle(power_set_5):
     t = census(2000, "big_omega", restrict=power_set_5)
     assert t.counts == census_slow(2000, "big_omega", list(power_set_5.members))
     assert t.restricted_to is power_set_5
+
+
+@st.composite
+def _prime_sets(draw):
+    # Odd members, one of them above every x drawn here, led by 2 or not:
+    # a set with 2 counts odd n only, any other set needs the lift to even n.
+    odd = draw(st.lists(st.sampled_from([3, 5, 7, 11, 13, 17, 31, 61, 127, 8191]),
+                        max_size=5, unique=True))
+    return ([2] if draw(st.booleans()) else []) + sorted(odd)
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.integers(1, 5000), tag=st.sampled_from(["omega", "big_omega"]), members=_prime_sets())
+@example(x=1, tag="omega", members=[])
+@example(x=2, tag="big_omega", members=[2])
+@example(x=3, tag="omega", members=[3])
+@example(x=4095, tag="big_omega", members=[])
+@example(x=4096, tag="big_omega", members=[3, 5])
+@example(x=4096, tag="omega", members=[2, 3])
+@example(x=4097, tag="omega", members=[])
+@example(x=4097, tag="big_omega", members=[2, 7])
+def test_census_matches_slow_oracle_on_random_sets(x, tag, members):
+    # Each x >> a is a cutoff of the lift; at 2**k - 1, 2**k and 2**k + 1
+    # they fall at the ends of the odd sweep and of its segments.
+    want = census_slow(x, tag, members)
+    restrict = PrimeSetS.from_members(members) if members else None
+    for segment_size in (64, 1000, 1 << 20):
+        for threads in (1, 2):
+            got = census(x, tag, restrict, segment_size, threads)
+            assert got.counts == want, (segment_size, threads)
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=st.integers(1, 100_000), members=_prime_sets(), segment_size=st.sampled_from([1000, 1 << 20]))
+def test_restricted_total_matches_inclusion_exclusion(x, members, segment_size):
+    restrict = PrimeSetS.from_members(members)
+    for tag in ("omega", "big_omega"):
+        total = census(x, tag, restrict, segment_size).total()
+        assert total == coprime_count_inclusion_exclusion(x, members), tag
 
 
 def test_partition_unrestricted():

@@ -1,11 +1,15 @@
 """Command-line front end, file outputs, and exit codes."""
 
+import importlib
 import json
 
 import pytest
 
 from omega_proximity import sieve
 from omega_proximity.cli import main
+
+# The package re-exports the function census under the module's name.
+census_module = importlib.import_module("omega_proximity.census")
 
 
 def run(argv, tmp_path):
@@ -94,7 +98,19 @@ def test_verify_passes(tmp_path, capsys):
     assert run(["verify", "--x", "2000"], tmp_path) == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
-    assert "7/7 checks passed" in out
+    assert "8/8 checks passed" in out
+
+
+def test_verify_fails_a_wrong_lift(tmp_path, capsys, monkeypatch):
+    # Lifting omega by a, as for big_omega, keeps every total but puts the
+    # even n at the wrong levels; only a full sweep can tell.
+    lift = census_module.lift_odd_levels
+    monkeypatch.setattr(census_module, "lift_odd_levels",
+                        lambda snapshots, x, tag: lift(snapshots, x, "big_omega"))
+    assert run(["verify", "--x", "2000"], tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "[ ok ] census-partition" in out
+    assert "[FAIL] census-lift" in out
 
 
 def test_verify_validates_g_file(tmp_path, capsys):
@@ -102,7 +118,7 @@ def test_verify_validates_g_file(tmp_path, capsys):
     capsys.readouterr()
     g_path = tmp_path / "g.json"
     assert run(["verify", "--x", "2000", "--g", str(g_path)], tmp_path) == 0
-    assert "8/8 checks passed" in capsys.readouterr().out
+    assert "9/9 checks passed" in capsys.readouterr().out
 
     doc = json.loads(g_path.read_text())
     doc["table"][0]["value"] += 1
@@ -111,7 +127,7 @@ def test_verify_validates_g_file(tmp_path, capsys):
     assert run(["verify", "--x", "2000", "--g", str(bad)], tmp_path) == 1
     out = capsys.readouterr().out
     assert "[FAIL] g-file-integrity: table differs from rebuild" in out
-    assert "7/8 checks passed" in out
+    assert "8/9 checks passed" in out
 
 
 def test_verify_rejects_unreadable_g(tmp_path, capsys):

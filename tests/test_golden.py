@@ -34,6 +34,26 @@ GOLDEN = {
                 "54177b97149a7968eed0b49219f7af65b96fe38423f49ec43f2546035d1b7c1e",
         },
     ),
+    # A set led by 2 admits odd n only, so the odd sweep needs no lift.
+    "census-restricted-with-2": (
+        ["census", "--x", X, "--f", "omega", "--restrict", "--set", "paper", "--count", "12"],
+        {
+            "census_omega_x100000_coprime.csv":
+                "b62b4b1195b7b87b0516ab341b6163ac912e181ebc58cb31e15b03564317771c",
+            "census_omega_x100000_coprime.meta.json":
+                "5fb0d1e871a1985f1e498aa21a25eba2d807493f79c5cddb7ce589e0a686cb87",
+        },
+    ),
+    # At a power of two every cutoff x >> a of the lift is exact.
+    "census-power-of-two": (
+        ["census", "--x", "65536", "--f", "bigomega"],
+        {
+            "census_bigomega_x65536.csv":
+                "0bbd1b5ef7135f2b1ff74046d191d083f7ef8611d5679fc9ee53780903de1c06",
+            "census_bigomega_x65536.meta.json":
+                "547ef436f04155f0b654d0a2f372f7edad731c53b9bf23385c12224a9a54d51d",
+        },
+    ),
     "construct": (
         ["construct", "--x", X],
         {

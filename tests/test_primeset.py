@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from omega_proximity.census import census
 from omega_proximity.primeset import (
     PrimeSetS,
     coprime_count_inclusion_exclusion,
+    coprime_mask,
     density_constant,
     power_prime_set,
     reciprocal_sums,
@@ -113,6 +115,15 @@ def test_coprime_count_matches_oracle():
     for members in ([3, 5], [2, 7, 13]):
         for y in (1, 50, 400):
             assert coprime_count_inclusion_exclusion(y, members) == coprime_count_slow(y, members)
+
+
+def test_coprime_mask_of_odd_entries():
+    # With step 2 the mask holds the odd entries of the step-1 mask; the
+    # member 2 excludes no odd n, and a member above hi excludes nothing.
+    for members in ([3], [2, 3, 5], [2], [7, 11, 13], [3, 10007]):
+        for lo, hi in ((1, 2), (1, 1000), (999, 1234), (10**6 + 1, 10**6 + 700)):
+            full = coprime_mask(lo, hi, members)
+            assert np.array_equal(coprime_mask(lo, hi, members, 2), full[::2]), (members, lo, hi)
 
 
 def test_json_round_trip():

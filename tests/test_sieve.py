@@ -211,6 +211,46 @@ def test_kernel_matches_product_kernel_across_bands(b, before, after):
                 assert np.array_equal(seg.values(tag), want[tag]), (tag, segment_size, threads)
 
 
+@settings(max_examples=12, deadline=None)
+@given(b=st.integers(0, 40), before=st.integers(0, 200), after=st.integers(1, 200))
+@example(b=0, before=0, after=200)
+@example(b=1, before=0, after=1)
+@example(b=40, before=200, after=200)
+def test_step_two_holds_the_odd_entries(b, before, after):
+    # The same windows from their odd start: a sweep of step 2 holds the odd
+    # entries of a sweep of step 1 and of the product kernel, and its
+    # segments of segment_size entries still cover the whole range.
+    lo, hi = max(1, (1 << b) - before) | 1, (1 << b) + after + 1
+    root = math.isqrt(hi - 1)
+    primes = primes_up_to(root).primes.tolist() if root >= 2 else []
+    want = dict(zip(("omega", "big_omega"), segment_factor_counts_product(lo, hi, primes)))
+    for tag in F_TAGS:
+        full = sieve_census(lo, hi, f_tag=tag).values(tag)
+        assert np.array_equal(full, want[tag]), tag
+        for segment_size in (64, 1 << 20):
+            for threads in (1, 2):
+                segments = list(sieve.iter_factor_segments(lo, hi, segment_size, threads, tag, 2))
+                assert [seg.lo for seg in segments] == list(range(lo, hi, 2 * segment_size))
+                assert sum(seg.hi - seg.lo for seg in segments) == hi - lo
+                assert all(seg.step == 2 and len(seg.f) <= segment_size for seg in segments)
+                odd = np.concatenate([seg.values(tag) for seg in segments])
+                assert np.array_equal(odd, full[::2]), (tag, segment_size, threads)
+
+
+def test_bad_step_refused_before_any_buffer(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be swept or allocated")
+
+    monkeypatch.setattr(sieve, "require_budget", never)
+    monkeypatch.setattr(sieve, "primes_up_to", never)
+    monkeypatch.setattr(sieve, "_segment_factor_counts", never)
+    monkeypatch.setattr(np, "empty", never)
+    monkeypatch.setattr(np, "full", never)
+    for lo, step in ((2, 2), (100, 2), (1, 3), (1, 0), (1, -1)):
+        with pytest.raises(ValueError, match="step"):
+            sieve.iter_factor_segments(lo, 1000, 64, 1, "omega", step)
+
+
 def test_band_thresholds_separate_every_band():
     # c_p / log2 p is largest at p = 3 and smallest at p = 7 up to 10**6;
     # above it |c_p / log2 p - 3| <= 0.5 / log2 p < 0.03 keeps every sieve
