@@ -41,7 +41,6 @@ from .sieve import (
     iter_factor_segments,
     next_prime,
     primes_up_to,
-    sieve_census,
 )
 
 __version__ = "0.1.0"
@@ -87,6 +86,5 @@ __all__ = [
     "power_prime_set",
     "primes_up_to",
     "reciprocal_sums",
-    "sieve_census",
     "threshold_prime_set",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE
 from .primeset import PrimeSetS, coprime_mask
-from .sieve import F_TAGS, FactorCensus, iter_factor_segments
+from .sieve import F_TAGS, LEVEL_CEILING, FactorCensus, iter_factor_segments, prime_power_level
 
 
 def normalize_f(tag: str) -> str:
@@ -60,27 +60,26 @@ class ConcentrationInterval:
 
 
 def add_level_counts(acc: np.ndarray, values: np.ndarray) -> None:
-    """acc[k] += #{i : values[i] == k}: one count_nonzero pass per level while
-    levels are few (omega stays below 16), else bincount by 2**16 (int64 copies of 512 KB)."""
+    """acc[k] += #{i : values[i] == k} for each k < len(acc); values past acc
+    are not counted.  One count_nonzero pass per level while levels are few
+    (omega stays below 16), else bincount by 2**16 (int64 copies of 512 KB)."""
     top = int(values.max(initial=0))
     if top >= 16:
         for i in range(0, len(values), 1 << 16):
-            acc += np.bincount(values[i : i + (1 << 16)], minlength=len(acc))
+            acc += np.bincount(values[i : i + (1 << 16)], minlength=len(acc))[: len(acc)]
     else:
         for k in range(top + 1):
             acc[k] += np.count_nonzero(values == k)
 
 
 def add_level_snapshots(hist: np.ndarray, seg: FactorCensus, levels: np.ndarray, cutoffs: list[int],
-                        snapshots: dict[int, np.ndarray], keep: np.ndarray | None = None) -> None:
-    """Add levels, one per entry of seg (or per entry where keep is True), to
-    hist, and copy hist into snapshots[y] once every entry n <= y is in, for
-    each ascending cutoff y not yet taken; entries past the last are skipped."""
+                        snapshots: dict[int, np.ndarray]) -> None:
+    """Add levels, one per entry of seg, to hist, and copy hist into
+    snapshots[y] once every entry n <= y is in, for each ascending cutoff y
+    not yet taken; entries past the last are skipped."""
     start = 0
     for y in cutoffs[len(snapshots) :]:
-        end = min((y - seg.lo) // seg.step + 1, len(seg.f))  # entries n <= y
-        if keep is not None:
-            end = int(np.count_nonzero(keep[:end]))
+        end = min((y - seg.lo) // seg.step + 1, len(levels))  # entries n <= y
         add_level_counts(hist, levels[start:end])
         if y >= seg.hi:
             break
@@ -90,12 +89,12 @@ def add_level_snapshots(hist: np.ndarray, seg: FactorCensus, levels: np.ndarray,
 def lift_odd_levels(snapshots: dict[int, np.ndarray], x: int, f_tag: str) -> np.ndarray:
     """Level histogram over 1..x from snapshots[x >> a], those over odd m <= x >> a.
 
-    f is additive, so for a >= 1 n = 2**a m sits f(2**a) = 1 (omega) or a
-    (big_omega) levels above m; f(n) <= 63 keeps every shifted level in range.
+    f is additive, so for a >= 1 n = 2**a m sits f(2**a) levels above m; as
+    f(n) < LEVEL_CEILING, nothing is shifted past a histogram that wide.
     """
     acc = np.zeros_like(snapshots[x])
     for a in range(x.bit_length()):
-        shift = a if f_tag == "big_omega" else min(a, 1)
+        shift = prime_power_level(a, f_tag)
         acc[shift:] += snapshots[x >> a][: len(acc) - shift]
     return acc
 
@@ -130,11 +129,15 @@ def census(
     # A set with 2 admits odd n only; a member of any other divides 2**a m iff it divides m.
     lift = 2 not in members
     cutoffs, snapshots = sorted(x >> a for a in range(x.bit_length() if lift else 1)), {}
-    hist = np.zeros(256, dtype=np.int64)
+    hist = np.zeros(LEVEL_CEILING, dtype=np.int64)
     for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
-        keep = coprime_mask(seg.lo, seg.hi, members, 2) if members else None
-        values = seg.values(tag) if keep is None else seg.values(tag)[keep]
-        add_level_snapshots(hist, seg, values, cutoffs, snapshots, keep)
+        levels = seg.values(tag)
+        if members:  # park members' multiples past the histogram, as the certificate does
+            hit = coprime_mask(seg.lo, seg.hi, members, 2).view(np.uint8)
+            hit -= 1  # 255 where a member divides n, else 0
+            hit &= LEVEL_CEILING
+            levels += hit
+        add_level_snapshots(hist, seg, levels, cutoffs, snapshots)
     acc = lift_odd_levels(snapshots, x, tag) if lift else snapshots[x]
     counts = {int(k): int(c) for k, c in enumerate(acc) if c}
     return CensusTable(x, tag, restrict, counts)

@@ -59,7 +59,7 @@ class PrimeSetS:
             "kind": self.kind,
             "delta": self.delta,
             "exponent": self.exponent,
-            "density": density_constant(self),
+            "density": density_constant(self.members),
             "recip_sum_1": r1,
             "recip_sum_3": r3,
         }
@@ -72,12 +72,6 @@ class PrimeSetS:
             delta=d.get("delta"),
             exponent=d.get("exponent"),
         )
-
-
-def _members_of(s: "PrimeSetS | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(s, PrimeSetS):
-        return s.members
-    return tuple(int(m) for m in s)
 
 
 def threshold_prime_set(delta: float, count: int) -> PrimeSetS:
@@ -134,10 +128,10 @@ def reciprocal_sums(s: PrimeSetS) -> tuple[float, float]:
     return r1, r3
 
 
-def density_constant(s: "PrimeSetS | Sequence[int]") -> float:
+def density_constant(members: Sequence[int]) -> float:
     """prod(1 - 1/m) over the members; the empty product is 1."""
     out = 1.0
-    for m in _members_of(s):
+    for m in members:
         out *= 1.0 - 1.0 / m
     return out
 
@@ -152,7 +146,7 @@ def coprime_mask(lo: int, hi: int, members: Sequence[int], step: int = 1) -> np.
     return mask
 
 
-def coprime_count_inclusion_exclusion(y: int, s: "PrimeSetS | Sequence[int]") -> int:
+def coprime_count_inclusion_exclusion(y: int, members: Sequence[int]) -> int:
     """Exact #{n <= y : gcd(n, prod members) = 1} as a signed sum of
     floor(y/d) over squarefree divisors d of the member product.
 
@@ -161,7 +155,6 @@ def coprime_count_inclusion_exclusion(y: int, s: "PrimeSetS | Sequence[int]") ->
     """
     if y < 0:
         raise ValueError(f"coprime_count_inclusion_exclusion requires y >= 0, got {y}")
-    members = _members_of(s)
 
     def signed(limit: int, idx: int) -> int:
         # integers <= limit coprime to members[idx:]

@@ -20,7 +20,7 @@ from .census import add_level_snapshots, lift_odd_levels, normalize_f
 from .errors import CertificateError
 from .gfunction import GFunction
 from .primeset import PrimeSetS
-from .sieve import iter_factor_segments, primes_up_to
+from .sieve import LEVEL_CEILING, iter_factor_segments, prime_power_level, primes_up_to
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,18 @@ class PhiDiagnostics:
     k_of_x: float
 
 
-# f(n) <= 63 for every n < 2**63, so g values are capped here: a capped
-# value never matches, and a product of two capped values (at most 4096)
-# fits in uint16 before it is capped again.
-G_SATURATION = 64
-
-
 def _g_segment_values(g: GFunction, lo: int, hi: int) -> np.ndarray:
-    """min(g(n), G_SATURATION) for n in [lo, hi) as uint16.
+    """min(g(n), LEVEL_CEILING) for n in [lo, hi) as uint16.
 
-    Built by stepping the multiples of each table prime.
+    Built by stepping the multiples of each table prime.  No f(n) reaches
+    the cap, so a capped value never matches, and a product of two capped
+    values (at most 4096) fits in uint16 before it is capped again.
     """
     out = np.ones(hi - lo, dtype=np.uint16)
     for entry in g.entries:
         sl = out[-lo % entry.prime :: entry.prime]
-        sl *= min(entry.value, G_SATURATION)
-        np.minimum(sl, G_SATURATION, out=sl)
+        sl *= min(entry.value, LEVEL_CEILING)
+        np.minimum(sl, LEVEL_CEILING, out=sl)
     return out
 
 
@@ -138,18 +134,18 @@ def certificate_count(
         if p not in table:
             raise ValueError(f"g has no value for set member {p}")
 
-    # (cutoff, level of r) per family; f <= 63 never reaches G_SATURATION.
+    # (cutoff, level of r) per family; no f reaches LEVEL_CEILING.
     families = []
     for p in members:
         power, a = p, 1
         while power <= x:
-            target = table[p] - a if tag == "big_omega" else table[p] - 1
-            if 0 <= target < G_SATURATION:
+            target = table[p] - prime_power_level(a, tag)
+            if 0 <= target < LEVEL_CEILING:
                 families.append((x // power, target))
             power, a = power * p, a + 1
     cutoffs = sorted({y for y, _ in families})
     snapshots: dict[int, np.ndarray] = {}
-    hist = np.zeros(2 * G_SATURATION, dtype=np.int64)  # lifted levels land in the top half
+    hist = np.zeros(LEVEL_CEILING, dtype=np.int64)
     checked = 0
     for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag):
         f = seg.values(tag)
@@ -157,10 +153,10 @@ def certificate_count(
         want = np.zeros(len(f), dtype=np.uint8)  # capped g(p) of such a member p
         for p in members:
             hits[-seg.lo % p :: p] += 1
-            want[-seg.lo % p :: p] = min(table[p], G_SATURATION)
-        # r route: lift members' multiples above every kept level; snapshot at cutoffs.
+            want[-seg.lo % p :: p] = min(table[p], LEVEL_CEILING)
+        # r route: park members' multiples past the histogram; snapshot at cutoffs.
         levels = np.minimum(hits, 1)  # one temporary, then in place
-        levels *= G_SATURATION
+        levels *= LEVEL_CEILING
         levels += f
         add_level_snapshots(hist, seg, levels, cutoffs, snapshots)
         # n route, with every witness checked against the full g table.
@@ -278,7 +274,7 @@ def phi_diagnostics(
     recips = np.empty(cap, dtype=np.float64)  # unwritten pages are never faulted in
     recips[0], k = 0.5, 1  # the one even prime
     cutoffs, snapshots = sorted(x >> a for a in range(x.bit_length())), {}
-    levels = np.zeros(256, dtype=np.int64)
+    levels = np.zeros(LEVEL_CEILING, dtype=np.int64)
     for seg in segments:
         f = seg.values(tag)
         add_level_snapshots(levels, seg, f, cutoffs, snapshots)
@@ -296,7 +292,7 @@ def phi_diagnostics(
     np.subtract(1.0, recips, out=recips)
     a_sum = float(np.sum(recips))
     for p, a, power in powers:
-        fv = 1 if tag == "omega" else a
+        fv = prime_power_level(a, tag)
         a_sum += fv * (1.0 - 1.0 / p)
         b_sum += (fv * fv) / power
     max_count = int(lift_odd_levels(snapshots, x, tag).max())

@@ -36,6 +36,15 @@ F_TAGS = ("omega", "big_omega")
 # consumers, and below 2**63 S(n) < 200 keeps the kernel's word exact.
 MAX_X = (1 << 63) - 2
 
+# f(n) <= floor(log2 n) < LEVEL_CEILING for every n <= MAX_X, so a level at
+# or above it belongs to no n: consumers park marked entries there, and cap g.
+LEVEL_CEILING = 64
+
+
+def prime_power_level(a: int, f_tag: str) -> int:
+    """f(p**a): a for big_omega, 1 for omega (0 at a = 0 for both)."""
+    return a if f_tag == "big_omega" else min(a, 1)
+
 
 @dataclass(frozen=True)
 class PrimeList:
@@ -49,8 +58,8 @@ class PrimeList:
 class FactorCensus:
     """Counts of one tag, omega or big_omega, over the half-open range [lo, hi).
 
-    f[i] holds the count for n = lo + step * i as uint8 (step 2: the odd n);
-    big_omega(n) <= floor(log2 n) < 64 keeps that width safe.  n = 1 counts zero.
+    f[i] holds the count for n = lo + step * i as uint8 (step 2: the odd n),
+    below LEVEL_CEILING.  n = 1 counts zero.
     """
 
     lo: int
@@ -252,39 +261,6 @@ def iter_factor_segments(
         return FactorCensus(a, b, f_tag, _segment_factor_counts(a, b, hits, thresholds, step), step)
 
     return _pipelined(worker, iter_ranges(lo, hi, step * segment_size), threads)
-
-
-def sieve_census(
-    lo: int,
-    hi: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
-    f_tag: str = "big_omega",
-) -> FactorCensus:
-    """Exact count of f_tag, "omega" or "big_omega", for every n in [lo, hi).
-
-    Parameters
-    ----------
-    lo, hi : int
-        Half-open range with 1 <= lo < hi.
-    segment_size : int
-        Internal chunk length (>= 64); invisible in the result.
-    threads : int
-        Worker threads for segment processing; output is identical for
-        any value.
-
-    Returns
-    -------
-    FactorCensus
-        One uint8 count array of length hi - lo.
-    """
-    segments = iter_factor_segments(lo, hi, segment_size, threads, f_tag)  # checks first
-    span = hi - lo
-    require_budget(span + WORKING_BYTES_PER_N * min(segment_size, span), "factor census")
-    f = np.empty(span, dtype=np.uint8)
-    for seg in segments:
-        f[seg.lo - lo : seg.hi - lo] = seg.f
-    return FactorCensus(lo, hi, f_tag, f)
 
 
 def factorize(n: int) -> list[int]:

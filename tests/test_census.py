@@ -68,8 +68,8 @@ def test_census_rejects_x_beyond_int64(monkeypatch):
 
 
 def test_buffers_sized_only_after_the_range_check(monkeypatch):
-    # Raised budget: sieve_census and phi_diagnostics size buffers of about
-    # x bytes, so the range check must come before numpy is asked for one.
+    # Raised budget: a sweep sizes its segments and phi_diagnostics a buffer
+    # of about x bytes, so the range check must come before numpy is asked for one.
     def never(*args, **kwargs):
         raise AssertionError("nothing may be swept or allocated")
 
@@ -78,7 +78,7 @@ def test_buffers_sized_only_after_the_range_check(monkeypatch):
     monkeypatch.setattr(sieve, "primes_up_to", never)
     monkeypatch.setattr(np, "empty", never)
     with pytest.raises(ValueError, match="lo < hi <="):
-        sieve.sieve_census(1, 2**63)
+        sieve.iter_factor_segments(1, 2**63)
     with pytest.raises(ValueError, match="lo < hi <="):
         phi_diagnostics(2**63 - 1, "omega")
 
@@ -160,7 +160,7 @@ def test_partition_unrestricted():
 def test_partition_restricted(power_set_5):
     for x in (10, 500, 20_000):
         t = census(x, "omega", restrict=power_set_5)
-        assert t.total() == coprime_count_inclusion_exclusion(x, power_set_5)
+        assert t.total() == coprime_count_inclusion_exclusion(x, power_set_5.members)
 
 
 def test_segment_size_independence():

@@ -99,6 +99,12 @@ def test_verify_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
     assert "8/8 checks passed" in out
+    # Below the smallest member there is no witness, and L = 0 is right.
+    for x in ("1", "2"):
+        assert run(["verify", "--x", x], tmp_path) == 0, x
+        out = capsys.readouterr().out
+        assert "[FAIL]" not in out, x
+        assert "L=0 <= E=" in out, x
 
 
 def test_verify_fails_a_wrong_lift(tmp_path, capsys, monkeypatch):

@@ -130,7 +130,7 @@ def test_json_round_trip():
     s = power_prime_set(2.0, 5)
     d = s.to_json_dict()
     assert d["members"] == [3, 5, 11, 17, 29]
-    assert math.isclose(d["density"], density_constant(s), rel_tol=1e-15)
+    assert math.isclose(d["density"], density_constant(s.members), rel_tol=1e-15)
     back = PrimeSetS.from_json_dict(d)
     assert back.members == s.members
     assert back.classes == s.classes

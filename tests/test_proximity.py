@@ -75,9 +75,11 @@ def _sets_and_tables(draw):
 )
 def test_certificate_matches_slow_oracle(case, x, f_tag, segment_size, threads):
     members, table = case
+    g = _table_g(table)
     want = certificate_count_slow(x, members, table, f_tag)
-    got = certificate_count(x, PrimeSetS.from_members(members), _table_g(table), f_tag, segment_size, threads)
+    got = certificate_count(x, PrimeSetS.from_members(members), g, f_tag, segment_size, threads)
     assert got == (want, want)
+    assert coincidence_count(x, f_tag, g, segment_size, threads) == coincidence_count_slow(x, f_tag, table)
 
 
 def test_certificate_rejects_table_prime_outside_set():

@@ -12,14 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omega_proximity import sieve
+from omega_proximity.budget import DEFAULT_SEGMENT_SIZE
 from omega_proximity.errors import CapacityError
 from omega_proximity.sieve import (
     F_TAGS,
     factorize,
     is_prime,
+    iter_factor_segments,
     next_prime,
     primes_up_to,
-    sieve_census,
 )
 
 from oracles import (
@@ -29,6 +30,11 @@ from oracles import (
     omega_slow,
     segment_factor_counts_product,
 )
+
+
+def _sweep(lo, hi, segment_size=DEFAULT_SEGMENT_SIZE, threads=1, f_tag="big_omega"):
+    """f_tag at every n in [lo, hi), the segments of one sweep joined."""
+    return np.concatenate([seg.values(f_tag) for seg in iter_factor_segments(lo, hi, segment_size, threads, f_tag)])
 
 
 def test_primes_up_to_small():
@@ -89,30 +95,28 @@ def test_factorize():
 
 
 def test_sieve_first_dozen():
-    big_omega = sieve_census(1, 13, f_tag="big_omega")
-    omega = sieve_census(1, 13, f_tag="omega")
-    assert list(big_omega.f) == [0, 1, 1, 2, 1, 2, 1, 3, 2, 2, 1, 3]
-    assert list(omega.f) == [0, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 2]
+    assert list(_sweep(1, 13, f_tag="big_omega")) == [0, 1, 1, 2, 1, 2, 1, 3, 2, 2, 1, 3]
+    assert list(_sweep(1, 13, f_tag="omega")) == [0, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 2]
 
 
 def test_sieve_matches_oracle_to_2000():
-    omega = sieve_census(1, 2000, f_tag="omega").values("omega")
-    big_omega = sieve_census(1, 2000, f_tag="big_omega").values("big_omega")
+    omega = _sweep(1, 2000, f_tag="omega")
+    big_omega = _sweep(1, 2000, f_tag="big_omega")
     for n in range(1, 2000):
         assert omega[n - 1] == omega_slow(n), n
         assert big_omega[n - 1] == big_omega_slow(n), n
 
 
 def test_sieve_interior_window():
-    assert sieve_census(990, 1010, f_tag="omega").values("omega")[999 - 990] == 2
-    assert sieve_census(990, 1010, f_tag="big_omega").values("big_omega")[999 - 990] == 4
+    assert _sweep(990, 1010, f_tag="omega")[999 - 990] == 2
+    assert _sweep(990, 1010, f_tag="big_omega")[999 - 990] == 4
 
 
 def test_values_accessor():
     # A segment holds the one tag its sweep computed and refuses the other,
     # or a misspelt one, rather than hand back the wrong counts.
     for tag, other in (("omega", "big_omega"), ("big_omega", "omega")):
-        seg = sieve_census(1, 50, f_tag=tag)
+        seg = next(iter_factor_segments(1, 50, f_tag=tag))
         assert seg.f_tag == tag
         assert seg.values(tag) is seg.f
         for wrong in (other, "bigomega"):
@@ -131,8 +135,6 @@ def test_unknown_tag_refused_before_any_buffer(monkeypatch):
     for tag in ("bigomega", "Omega", "mu"):
         with pytest.raises(ValueError, match="f_tag"):
             sieve.iter_factor_segments(1, 100, 64, 1, tag)
-        with pytest.raises(ValueError, match="f_tag"):
-            sieve_census(1, 100, f_tag=tag)
 
 
 def test_sweep_call_shape_of_the_benchmark():
@@ -148,24 +150,24 @@ def test_sweep_call_shape_of_the_benchmark():
 
 def test_segment_size_independence():
     for tag in F_TAGS:
-        base = sieve_census(1, 5000, f_tag=tag)
+        base = _sweep(1, 5000, f_tag=tag)
         for size in (64, 128, 1024):
-            other = sieve_census(1, 5000, segment_size=size, f_tag=tag)
-            assert np.array_equal(base.f, other.f), (tag, size)
+            other = _sweep(1, 5000, segment_size=size, f_tag=tag)
+            assert np.array_equal(base, other), (tag, size)
 
 
 def test_segment_independence_interior():
     for tag in F_TAGS:
-        base = sieve_census(1000, 3000, f_tag=tag)
-        other = sieve_census(1000, 3000, segment_size=64, f_tag=tag)
-        assert np.array_equal(base.f, other.f), tag
+        base = _sweep(1000, 3000, f_tag=tag)
+        other = _sweep(1000, 3000, segment_size=64, f_tag=tag)
+        assert np.array_equal(base, other), tag
 
 
 def test_thread_count_independence():
     for tag in F_TAGS:
-        base = sieve_census(1, 20000, segment_size=1024, f_tag=tag)
-        other = sieve_census(1, 20000, segment_size=1024, threads=3, f_tag=tag)
-        assert np.array_equal(base.f, other.f), tag
+        base = _sweep(1, 20000, segment_size=1024, f_tag=tag)
+        other = _sweep(1, 20000, segment_size=1024, threads=3, f_tag=tag)
+        assert np.array_equal(base, other), tag
 
 
 @settings(max_examples=20, deadline=None)
@@ -185,7 +187,7 @@ def test_sieve_windows_match_factorize(lo, span):
     want = [factorize(n) for n in range(lo, lo + span)]
     for threads in (1, 2):
         omega, big_omega = (
-            sieve_census(lo, lo + span, segment_size=64, threads=threads, f_tag=tag).values(tag)
+            _sweep(lo, lo + span, segment_size=64, threads=threads, f_tag=tag)
             for tag in ("omega", "big_omega")
         )
         for n, fs in zip(range(lo, lo + span), want):
@@ -207,8 +209,8 @@ def test_kernel_matches_product_kernel_across_bands(b, before, after):
     for tag in F_TAGS:
         for segment_size in (64, 1 << 20):
             for threads in (1, 2):
-                seg = sieve_census(lo, hi, segment_size=segment_size, threads=threads, f_tag=tag)
-                assert np.array_equal(seg.values(tag), want[tag]), (tag, segment_size, threads)
+                got = _sweep(lo, hi, segment_size=segment_size, threads=threads, f_tag=tag)
+                assert np.array_equal(got, want[tag]), (tag, segment_size, threads)
 
 
 @settings(max_examples=12, deadline=None)
@@ -225,7 +227,7 @@ def test_step_two_holds_the_odd_entries(b, before, after):
     primes = primes_up_to(root).primes.tolist() if root >= 2 else []
     want = dict(zip(("omega", "big_omega"), segment_factor_counts_product(lo, hi, primes)))
     for tag in F_TAGS:
-        full = sieve_census(lo, hi, f_tag=tag).values(tag)
+        full = _sweep(lo, hi, f_tag=tag)
         assert np.array_equal(full, want[tag]), tag
         for segment_size in (64, 1 << 20):
             for threads in (1, 2):
@@ -322,9 +324,9 @@ def test_threads_capped_at_cpu_count(monkeypatch):
     # Uncapped, 10**6 threads of 1024-integer segments would also fail the
     # default 2048 MB budget.
     for tag in F_TAGS:
-        capped = sieve_census(1, 20_000, segment_size=1024, threads=10**6, f_tag=tag)
-        base = sieve_census(1, 20_000, segment_size=1024, f_tag=tag)
-        assert np.array_equal(capped.f, base.f), tag
+        capped = _sweep(1, 20_000, segment_size=1024, threads=10**6, f_tag=tag)
+        base = _sweep(1, 20_000, segment_size=1024, f_tag=tag)
+        assert np.array_equal(capped, base), tag
     assert asked == [2, 2]
 
 
@@ -346,19 +348,20 @@ def test_equal_counts_iff_squarefree():
     for p in range(2, int(limit**0.5) + 1):
         for m in range(p * p, limit + 1, p * p):
             squarefree[m] = False
-    omega = sieve_census(1, limit + 1, f_tag="omega").values("omega")
-    big_omega = sieve_census(1, limit + 1, f_tag="big_omega").values("big_omega")
+    omega = _sweep(1, limit + 1, f_tag="omega")
+    big_omega = _sweep(1, limit + 1, f_tag="big_omega")
     for n in range(1, limit + 1):
         assert (omega[n - 1] == big_omega[n - 1]) == squarefree[n], n
 
 
 def test_range_validation():
+    # Each is refused when the sweep is asked for, before any segment.
     with pytest.raises(ValueError):
-        sieve_census(0, 10)
+        iter_factor_segments(0, 10)
     with pytest.raises(ValueError):
-        sieve_census(10, 10)
+        iter_factor_segments(10, 10)
     with pytest.raises(ValueError):
-        sieve_census(1, 100, segment_size=32)
+        iter_factor_segments(1, 100, segment_size=32)
     with pytest.raises(ValueError):  # hi = 2**63 does not fit in an int64
         next(sieve.iter_factor_segments(2**63 - 100, 2**63))
 
@@ -366,10 +369,10 @@ def test_range_validation():
 def test_budget_cap(monkeypatch):
     monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "1")
     with pytest.raises(CapacityError):
-        sieve_census(1, 2_000_000)
+        iter_factor_segments(1, 2_000_000)
 
 
 def test_budget_malformed(monkeypatch):
     monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "plenty")
     with pytest.raises(ValueError):
-        sieve_census(1, 100)
+        iter_factor_segments(1, 100)
