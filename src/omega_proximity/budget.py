@@ -19,9 +19,9 @@ DEFAULT_BUDGET_MB = 2048
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 # Working set of one segment, per entry (n, or odd n in a step-2 sweep): the
-# sieve kernel's uint16 word and its uint8 f, 3 B; then the certificate's uint8
-# hits, want, levels and compares and its uint16 g values, about 8 B (bincount's
-# int64 copies are chunked to 2**16 values).  The cap of 32 also covers temporaries.
+# sieve kernel's uint16 word and its uint8 f, 3 B; then the certificate's uint16
+# marks and g values and uint8 levels and compares, about 8 B (bincount's int64
+# copies are chunked to 2**16 values).  The cap of 32 also covers temporaries.
 WORKING_BYTES_PER_N = 32
 
 

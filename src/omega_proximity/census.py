@@ -61,15 +61,18 @@ class ConcentrationInterval:
 
 def add_level_counts(acc: np.ndarray, values: np.ndarray) -> None:
     """acc[k] += #{i : values[i] == k} for each k < len(acc); values past acc
-    are not counted.  One count_nonzero pass per level while levels are few
-    (omega stays below 16), else bincount by 2**16 (int64 copies of 512 KB)."""
+    (parked entries) are not counted.  One count_nonzero pass per level up to
+    the last counted one, if that is below 16 (omega), else bincount by 2**16
+    (int64 copies of 512 KB) for the levels still left."""
     top = int(values.max(initial=0))
-    if top >= 16:
-        for i in range(0, len(values), 1 << 16):
-            acc += np.bincount(values[i : i + (1 << 16)], minlength=len(acc))[: len(acc)]
-    else:
-        for k in range(top + 1):
-            acc[k] += np.count_nonzero(values == k)
+    left = len(values) - (int(np.count_nonzero(values >= len(acc))) if top >= len(acc) else 0)
+    low = 0  # levels below low are counted; parked entries never force bincount
+    while left and low < 16 and not 16 <= top < len(acc):
+        c = int(np.count_nonzero(values == low))
+        acc[low] += c
+        left, low = left - c, low + 1
+    for i in range(0, len(values) if left else 0, 1 << 16):
+        acc[low:] += np.bincount(values[i : i + (1 << 16)], minlength=len(acc))[low : len(acc)]
 
 
 def add_level_snapshots(hist: np.ndarray, seg: FactorCensus, levels: np.ndarray, cutoffs: list[int],

@@ -30,7 +30,7 @@ from .census import (
     mode_k,
 )
 from .errors import CapacityError, CertificateError
-from .gfunction import GFunction, build_g
+from .gfunction import GEntry, GFunction, build_g
 from .primeset import (
     PrimeSetS,
     coprime_count_inclusion_exclusion,
@@ -39,6 +39,7 @@ from .primeset import (
 )
 from .proximity import (
     REPORT_CSV_HEADER,
+    _g_segment_values,
     certificate_count,
     coincidence_count,
     growth_report,
@@ -267,13 +268,20 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     ok = t_omega.total() == x and t_big.total() == x
     checks.append(("census-partition", ok, f"totals at x={x}"))
 
-    # The odd-only censuses, lifted to every n, match one full sweep per tag.
-    full = {t.f_tag: (t.counts, np.zeros(LEVEL_CEILING, dtype=np.int64)) for t in (t_omega, t_big)}
-    for tag, (_, hist) in full.items():
-        for segment in iter_factor_segments(1, x + 1, seg, threads, tag):
-            add_level_counts(hist, segment.values(tag))
-    ok = all(counts == {k: int(c) for k, c in enumerate(hist) if c} for counts, hist in full.values())
-    checks.append(("census-lift", ok, f"odd sweep lifted = full sweep at x={x}, both tags"))
+    # Odd sweeps lifted to every n match one full sweep per tag: census, and E for g(2) = 1, 2.
+    pset = power_prime_set(2.0, 5)
+    g = build_g(x, pset, "big_omega", seg, threads)
+    g_two = GFunction(None, None, "big_omega", (GEntry(2, 2, None, None, False), *g.entries))
+    lift_ok = count_ok = True
+    for t in (t_omega, t_big):
+        hist, direct = np.zeros(LEVEL_CEILING, dtype=np.int64), np.zeros(2, dtype=np.int64)
+        for s in iter_factor_segments(1, x + 1, seg, threads, t.f_tag):
+            add_level_counts(hist, s.f)
+            direct += [np.count_nonzero(s.f == _g_segment_values(gg, s.lo, s.hi)) for gg in (g, g_two)]
+        lift_ok &= t.counts == {k: int(c) for k, c in enumerate(hist) if c}
+        count_ok &= direct.tolist() == [coincidence_count(x, t.f_tag, gg, seg, threads) for gg in (g, g_two)]
+    checks.append(("census-lift", lift_ok, f"odd sweep lifted = full sweep at x={x}, both tags"))
+    checks.append(("count-lift", count_ok, f"E lifted = full-sweep E at x={x}, both tags, g(2) = 1, 2"))
 
     # Known small values.
     t100 = census(100, "omega")
@@ -282,14 +290,12 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     checks.append(("level-counts-at-100", ok, "35 one-prime levels, 25 identity matches"))
 
     # The restricted census total, counted by marking, matches inclusion-exclusion.
-    pset = power_prime_set(2.0, 5)
     t_res = census(x, "big_omega", pset, seg, threads)
     cc = coprime_count_inclusion_exclusion(x, pset.members)
     ok = t_res.total() == cc
     checks.append(("restricted-partition", ok, f"coprime total {cc}"))
 
     # Certificate soundness end to end.
-    g = build_g(x, pset, "big_omega", seg, threads)
     l_count, checked = certificate_count(x, pset, g, "big_omega", seg, threads)
     e_count = coincidence_count(x, "big_omega", g, seg, threads)
     # At least one witness once the smallest member is at most x.

@@ -20,7 +20,7 @@ from .census import add_level_snapshots, lift_odd_levels, normalize_f
 from .errors import CertificateError
 from .gfunction import GFunction
 from .primeset import PrimeSetS
-from .sieve import LEVEL_CEILING, iter_factor_segments, prime_power_level, primes_up_to
+from .sieve import LEVEL_CEILING, FactorCensus, iter_factor_segments, prime_power_level, primes_up_to
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,27 @@ class PhiDiagnostics:
     k_of_x: float
 
 
-def _g_segment_values(g: GFunction, lo: int, hi: int) -> np.ndarray:
-    """min(g(n), LEVEL_CEILING) for n in [lo, hi) as uint16.
-
-    Built by stepping the multiples of each table prime.  No f(n) reaches
-    the cap, so a capped value never matches, and a product of two capped
-    values (at most 4096) fits in uint16 before it is capped again.
-    """
-    out = np.ones(hi - lo, dtype=np.uint16)
+def _g_segment_values(g: GFunction, lo: int, hi: int, step: int = 1) -> np.ndarray:
+    """min(g(n), LEVEL_CEILING) at n = lo + step * i in [lo, hi) as uint16,
+    by stepping the multiples of each table prime (with step 2 the prime 2
+    divides no n, as in coprime_mask).  No f(n) reaches the cap, so a capped
+    value never matches, and a product of two capped values (at most 4096)
+    fits in uint16 before it is capped again."""
+    out = np.ones(len(range(lo, hi, step)), dtype=np.uint16)
     for entry in g.entries:
-        sl = out[-lo % entry.prime :: entry.prime]
-        sl *= min(entry.value, LEVEL_CEILING)
-        np.minimum(sl, LEVEL_CEILING, out=sl)
+        if step % entry.prime:
+            sl = out[(entry.prime - lo) % (step * entry.prime) // step :: entry.prime]
+            sl *= min(entry.value, LEVEL_CEILING)
+            np.minimum(sl, LEVEL_CEILING, out=sl)
     return out
+
+
+def _even_matches(d: np.ndarray, seg: FactorCensus, x: int, tag: str) -> int:
+    """#{(b, i) : b >= 1, 2**b m <= x, d[i] = f(2**b)} over the odd m = seg.lo + 2i:
+    with d = target - f(m), the even n = 2**b m <= x at their target level."""
+    # b runs while 2**b seg.lo <= x; entries up to m = x >> b take part.
+    return sum(int(np.count_nonzero(d[: ((x >> b) - seg.lo) // 2 + 1] == prime_power_level(b, tag)))
+               for b in range(1, (x // seg.lo).bit_length()))
 
 
 def coincidence_count(
@@ -84,19 +92,24 @@ def coincidence_count(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> int:
-    """#{n <= x : f(n) = g(n)} exactly.
-
-    n = 1 never matches: f(1) = 0 while g(1) = 1 (empty product).
-    """
+    """#{n <= x : f(n) = g(n)} exactly, from one sweep of the odd m <= x:
+    n = 2**b m has f(n) = f(m) + f(2**b), and g(n) = g(m) at b = 0 and
+    g(2) g(m) at b >= 1 as g is strongly multiplicative.  n = 1 never
+    matches: f(1) = 0 while g(1) = 1 (empty product)."""
     if x < 0:
         raise ValueError(f"coincidence_count requires x >= 0, got {x}")
     if x == 0:
         return 0
     tag = normalize_f(f_tag)
+    g2 = min(g.table.get(2, 1), LEVEL_CEILING)
     total = 0
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag):
-        gv = _g_segment_values(g, seg.lo, seg.hi)
-        total += int((seg.values(tag) == gv).sum())
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
+        f = seg.values(tag)
+        gv = _g_segment_values(g, seg.lo, seg.hi, 2)
+        total += int(np.count_nonzero(gv == f))
+        gv *= g2  # g(2**b m), b >= 1: at most 64 * 64, and 64 and up match no f(n)
+        gv -= f  # wraps below zero to values no level reaches
+        total += _even_matches(gv, seg, x, tag)
     return total
 
 
@@ -117,13 +130,13 @@ def certificate_count(
     distinct n because r carries no member prime, so the families are
     disjoint and the total is a true lower bound.
 
-    One sweep of [1, x] keeps only per-segment arrays.  The r route reads a
-    level histogram of the integers no member divides at each cutoff
-    x // p**a.  The n route counts the n that exactly one member p divides
-    with f(n) = g(p); v_p(n) = a since r is coprime to every member, so
-    these are the same witnesses, and each is checked against f(n) = g(n)
-    over the whole g table.  Returns (count, witnesses_checked); a failed
-    check or routes that disagree raise CertificateError.
+    One sweep of the odd m <= x.  The r route reads a histogram of the odd m
+    no member divides at each x // p**a, lifted to every r unless 2 is a
+    member.  The n route counts the n = 2**b m with f(n) = g(p) for the one
+    member p dividing n (odd, or 2 at b >= 1), and checks each against the
+    whole g table.  Returns (count, witnesses_checked); a failed check
+    (with the odd segment [lo, hi) of its m) or routes that disagree raise
+    CertificateError.
     """
     tag = normalize_f(f_tag)
     members = [p for p in prime_set.members if p <= x]
@@ -133,6 +146,9 @@ def certificate_count(
     for p in members:
         if p not in table:
             raise ValueError(f"g has no value for set member {p}")
+    has2 = members[0] == 2
+    odd_marks = [(p, 256 + min(table[p], LEVEL_CEILING)) for p in members[has2:]]
+    g2 = min(table.get(2, 1), LEVEL_CEILING)
 
     # (cutoff, level of r) per family; no f reaches LEVEL_CEILING.
     families = []
@@ -143,33 +159,47 @@ def certificate_count(
             if 0 <= target < LEVEL_CEILING:
                 families.append((x // power, target))
             power, a = power * p, a + 1
-    cutoffs = sorted({y for y, _ in families})
+    cutoffs = sorted({y >> b for y, _ in families for b in range(1 if has2 else y.bit_length())})
     snapshots: dict[int, np.ndarray] = {}
     hist = np.zeros(LEVEL_CEILING, dtype=np.int64)
-    checked = 0
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag):
+    found = confirmed = 0
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
         f = seg.values(tag)
-        hits = np.zeros(len(f), dtype=np.uint8)  # members dividing n
-        want = np.zeros(len(f), dtype=np.uint8)  # capped g(p) of such a member p
-        for p in members:
-            hits[-seg.lo % p :: p] += 1
-            want[-seg.lo % p :: p] = min(table[p], LEVEL_CEILING)
-        # r route: park members' multiples past the histogram; snapshot at cutoffs.
-        levels = np.minimum(hits, 1)  # one temporary, then in place
+        marks = np.zeros(len(f), dtype=np.uint16)  # 256 + capped g(p) per odd member p | m
+        for p, mark in odd_marks:
+            marks[(p - seg.lo) % (2 * p) // 2 :: p] += mark
+        levels = np.greater_equal(marks, 256).view(np.uint8)  # r route: park members' multiples
         levels *= LEVEL_CEILING
         levels += f
         add_level_snapshots(hist, seg, levels, cutoffs, snapshots)
-        # n route, with every witness checked against the full g table.
-        witness = (hits == 1) & (f == want)
-        found = int(np.count_nonzero(witness))
-        if np.count_nonzero(witness & (f == _g_segment_values(g, seg.lo, seg.hi))) != found:
+        # n route: marks - 256 - f(m) < 64 only where one odd member divides m (at
+        # least 193 where two do, past 65000 where none); marks + g(2) - f(m) where none.
+        marks -= f
+        marks -= 256
+        witness = np.equal(marks, 0, out=levels.view(bool))  # levels are read no more
+        found += int(np.count_nonzero(witness))
+        gv = _g_segment_values(g, seg.lo, seg.hi, 2)
+        witness &= gv == f
+        confirmed += int(np.count_nonzero(witness))
+        if has2:
+            marks += 256 + g2
+        found += _even_matches(marks, seg, x, tag)
+        gv *= g2  # g(2**b m) - f(m) at b >= 1, as in coincidence_count
+        gv -= f
+        gv ^= marks  # 0 where g(n) agrees; move the other entries past every level
+        np.minimum(gv, 1, out=gv)
+        gv <<= 8
+        marks |= gv
+        confirmed += _even_matches(marks, seg, x, tag)
+        if confirmed != found:
             raise CertificateError(f"certificate witness failed in [{seg.lo}, {seg.hi})")
-        checked += found
+        del marks, gv  # 4 B per entry, freed before the next segment is sieved
 
-    count = sum(int(snapshots[y][level]) for y, level in families)
-    if count != checked:
-        raise CertificateError(f"certificate routes disagree: {count} by r, {checked} by n")
-    return count, checked
+    lifted = snapshots if has2 else {y: lift_odd_levels(snapshots, y, tag) for y, _ in families}
+    count = sum(int(lifted[y][level]) for y, level in families)
+    if count != found:
+        raise CertificateError(f"certificate routes disagree: {count} by r, {found} by n")
+    return count, found
 
 
 def growth_report(

@@ -117,6 +117,27 @@ def certificate_count_slow(x: int, members: list[int], table: dict[int, int], f_
     return total
 
 
+def certificate_fails_slow(x: int, members: list[int], table: dict[int, int], f_tag: str) -> bool:
+    """Whether some witness n = r * p**a of certificate_count_slow's families
+    has f(n) != g(n) over the whole table, so the certificate must refuse.
+
+    Only a table prime outside the set can cause it: r is coprime to every
+    member, so g(n) = g(p) times the table values of the other primes of r.
+    """
+    f = omega_slow if f_tag == "omega" else big_omega_slow
+    for p in members:
+        power, a = p, 1
+        while power <= x:
+            target = table[p] - a if f_tag == "big_omega" else table[p] - 1
+            for r in range(1, x // power + 1):
+                if coprime_to_all(r, members) and f(r) == target:
+                    if eval_g_slow(r * power, table) != f(r * power):
+                        return True
+            power *= p
+            a += 1
+    return False
+
+
 def phi_slow(x: int, f_tag: str) -> tuple[float, float, float, int]:
     """A, B, phi and the largest level count at x, summed in a fixed order.
 

@@ -96,6 +96,20 @@ def test_add_level_counts_matches_bincount():
         want = np.bincount(values, minlength=256)
         want[3] += 5
         assert np.array_equal(acc, want), top
+    # Values past a 64-wide accumulator are parked and not counted, whether
+    # the counted levels stop below 16, run past it, or are absent.
+    for top, size in ((0, 5000), (8, 5000), (15, 5000), (16, 5000), (40, 3 << 16 | 5)):
+        values = rng.integers(0, top + 1, size).astype(np.uint8)
+        values[rng.random(size) < 0.3] += 64
+        acc = np.zeros(64, dtype=np.int64)
+        acc[3] = 5
+        add_level_counts(acc, values)
+        want = np.bincount(values, minlength=256)[:64]
+        want[3] += 5
+        assert np.array_equal(acc, want), top
+    acc = np.zeros(64, dtype=np.int64)
+    add_level_counts(acc, np.full(100, 64, dtype=np.uint8))
+    assert not acc.any()
     acc = np.zeros(256, dtype=np.int64)
     add_level_counts(acc, np.zeros(0, dtype=np.uint8))
     assert not acc.any()

@@ -10,6 +10,7 @@ from omega_proximity.cli import main
 
 # The package re-exports the function census under the module's name.
 census_module = importlib.import_module("omega_proximity.census")
+proximity_module = importlib.import_module("omega_proximity.proximity")
 
 
 def run(argv, tmp_path):
@@ -98,7 +99,7 @@ def test_verify_passes(tmp_path, capsys):
     assert run(["verify", "--x", "2000"], tmp_path) == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
-    assert "8/8 checks passed" in out
+    assert "9/9 checks passed" in out
     # Below the smallest member there is no witness, and L = 0 is right.
     for x in ("1", "2"):
         assert run(["verify", "--x", x], tmp_path) == 0, x
@@ -119,12 +120,24 @@ def test_verify_fails_a_wrong_lift(tmp_path, capsys, monkeypatch):
     assert "[FAIL] census-lift" in out
 
 
+def test_verify_fails_a_wrong_count_lift(tmp_path, capsys, monkeypatch):
+    # Lifting omega's even n by b, as for big_omega, keeps the odd n right
+    # and the big_omega certificate intact; only the direct count can tell.
+    lift = proximity_module._even_matches
+    monkeypatch.setattr(proximity_module, "_even_matches",
+                        lambda d, seg, x, tag: lift(d, seg, x, "big_omega"))
+    assert run(["verify", "--x", "2000"], tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "[ ok ] certificate-soundness" in out
+    assert "[FAIL] count-lift" in out
+
+
 def test_verify_validates_g_file(tmp_path, capsys):
     assert run(["construct", "--x", "2000"], tmp_path) == 0
     capsys.readouterr()
     g_path = tmp_path / "g.json"
     assert run(["verify", "--x", "2000", "--g", str(g_path)], tmp_path) == 0
-    assert "9/9 checks passed" in capsys.readouterr().out
+    assert "10/10 checks passed" in capsys.readouterr().out
 
     doc = json.loads(g_path.read_text())
     doc["table"][0]["value"] += 1
@@ -133,7 +146,7 @@ def test_verify_validates_g_file(tmp_path, capsys):
     assert run(["verify", "--x", "2000", "--g", str(bad)], tmp_path) == 1
     out = capsys.readouterr().out
     assert "[FAIL] g-file-integrity: table differs from rebuild" in out
-    assert "8/9 checks passed" in out
+    assert "9/10 checks passed" in out
 
 
 def test_verify_rejects_unreadable_g(tmp_path, capsys):

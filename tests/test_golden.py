@@ -7,6 +7,7 @@ with two threads: the files must not depend on either.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -110,6 +111,39 @@ GOLDEN = {
                 "88977401297a3b82c023160c04fd490f6804961306827532c71866f6625790f4",
         },
     ),
+    # g(2) = 3 off the set: an even n = 2**b m has g(n) = 3 g(m).
+    "count-g-two-off-set": (
+        ["count", "--x", X, "--g", "{g-two-off-set}"],
+        {
+            "count_bigomega_x100000.json":
+                "b953b93e616f81e486d9ec9b833d353301fc758a3c86992dc009d983c99f538e",
+        },
+    ),
+    "count-omega-g-two-off-set": (
+        ["count", "--x", X, "--f", "omega", "--g", "{g-two-off-set}"],
+        {
+            "count_omega_x100000.json":
+                "eefb452e8d09e1db1041c665d85b23774e6ab3081b83fb83a82085b0197b33e6",
+        },
+    ),
+    # 2 in the table but not the set: witnesses r * p**a may have r even.
+    "certificate-g-two-neutral": (
+        ["certificate", "--x", X, "--g", "{g-two-neutral}"],
+        {
+            "certificate_bigomega_x100000.json":
+                "67a497bccea12a984f8c1d46cf68878bda38eb275b5a2810c049eab350af5de6",
+        },
+    ),
+    # 2 in the set with g(2) = 1: the witnesses' r are odd.
+    "report-bigomega-paper": (
+        ["report", "--grid", "1000,10000," + X, "--f", "bigomega", "--set", "paper", "--count", "12"],
+        {
+            "report.csv":
+                "ef9fbcf5d82d0ef3ef8ce3da005dfb595ec156cf0ee87a5288499c169f62b3e5",
+            "report.json":
+                "441072f8d081554e757c13d31163cb4f276ba2fda1cf69cc770c58e0dc922c51",
+        },
+    ),
     "report-omega-paper": (
         ["report", "--grid", "1000,10000," + X, "--f", "omega", "--set", "paper", "--count", "12"],
         {
@@ -129,12 +163,29 @@ def g_file(tmp_path_factory):
     return str(out / "g.json")
 
 
+@pytest.fixture(scope="module")
+def g_files(g_file, tmp_path_factory):
+    """The constructed g, and hand-written tables that hold 2 outside the set [3, 5, 11]."""
+    out = tmp_path_factory.mktemp("hand")
+    paths = {"{g}": g_file}
+    for name, two in (("g-two-off-set", 3), ("g-two-neutral", 1)):
+        path = out / (name.replace("-", "_") + ".json")
+        table = [(2, two), (3, 3), (5, 2), (11, 4)]
+        path.write_text(json.dumps({
+            "f": "big_omega",
+            "set": {"members": [3, 5, 11]},
+            "table": [{"prime": p, "value": v} for p, v in table],
+        }))
+        paths["{" + name + "}"] = str(path)
+    return paths
+
+
 @pytest.mark.parametrize("sweep", [[], ["--segment-size", "4096", "--threads", "2"]],
                          ids=["default", "seg4096-t2"])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_output_bytes_are_frozen(name, sweep, tmp_path, g_file, capsys):
+def test_output_bytes_are_frozen(name, sweep, tmp_path, g_files, capsys):
     argv, expected = GOLDEN[name]
-    argv = [a.replace("{g}", g_file) for a in argv]
+    argv = [g_files.get(a, a) for a in argv]
     assert main([*argv, *sweep, "--out", str(tmp_path)]) == 0
     written = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omega_proximity.census import census, mode_k
+from omega_proximity.errors import CertificateError
 from omega_proximity.gfunction import GEntry, GFunction, build_g
 from omega_proximity.primeset import PrimeSetS
 from omega_proximity.proximity import (
@@ -20,7 +21,7 @@ from omega_proximity.proximity import (
     report_json_dict,
 )
 
-from oracles import certificate_count_slow, coincidence_count_slow, phi_slow
+from oracles import certificate_count_slow, certificate_fails_slow, coincidence_count_slow, phi_slow
 
 
 def _table_g(table):
@@ -61,8 +62,11 @@ def _sets_and_tables(draw):
     members = sorted(odd)
     if draw(st.booleans()):
         members = [2] + members[:3]
-    values = st.one_of(st.integers(0, 6), st.just(2**62 + 1))
-    return members, {p: draw(values) for p in members}
+    # Table primes outside the set, 2 among them when the set lacks it.
+    outside = draw(st.lists(st.sampled_from([p for p in (2, 3, 5, 7, 53) if p not in members]),
+                            max_size=2, unique=True))
+    values = st.one_of(st.integers(0, 6), st.sampled_from([64, 100, 2**62 + 1]))
+    return members, {p: draw(values) for p in members + outside}
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,15 +74,28 @@ def _sets_and_tables(draw):
     case=_sets_and_tables(),
     x=st.integers(1, 2500),
     f_tag=st.sampled_from(["omega", "big_omega"]),
-    segment_size=st.sampled_from([64, 1 << 20]),
+    segment_size=st.sampled_from([64, 1000, 1 << 20]),
     threads=st.sampled_from([1, 2]),
 )
+# At x = 2**k the deepest 2-adic cutoff x >> b is 1; one below or above, it shifts.
+@example(case=([3, 5], {3: 3, 5: 2, 2: 3}), x=2048, f_tag="big_omega", segment_size=64, threads=1)
+@example(case=([3, 5], {3: 3, 5: 2, 2: 1}), x=2047, f_tag="big_omega", segment_size=1000, threads=1)
+@example(case=([2, 3, 7], {2: 3, 3: 3, 7: 2}), x=2049, f_tag="omega", segment_size=64, threads=2)
+@example(case=([2, 5], {2: 1, 5: 3, 3: 2}), x=1024, f_tag="big_omega", segment_size=1000, threads=1)
+@example(case=([3, 11], {3: 4, 11: 3}), x=1023, f_tag="omega", segment_size=1 << 20, threads=1)
+@example(case=([3, 11], {3: 4, 11: 3}), x=1025, f_tag="big_omega", segment_size=64, threads=2)
+# Family (3, 1) wants level 33 below 33: the parked m = 3 sits at 1 + 64, out of reach.
+@example(case=([3], {3: 34}), x=100, f_tag="big_omega", segment_size=64, threads=1)
 def test_certificate_matches_slow_oracle(case, x, f_tag, segment_size, threads):
     members, table = case
     g = _table_g(table)
-    want = certificate_count_slow(x, members, table, f_tag)
-    got = certificate_count(x, PrimeSetS.from_members(members), g, f_tag, segment_size, threads)
-    assert got == (want, want)
+    pset = PrimeSetS.from_members(members)
+    if certificate_fails_slow(x, members, table, f_tag):
+        with pytest.raises(CertificateError, match="certificate witness failed"):
+            certificate_count(x, pset, g, f_tag, segment_size, threads)
+    else:
+        want = certificate_count_slow(x, members, table, f_tag)
+        assert certificate_count(x, pset, g, f_tag, segment_size, threads) == (want, want)
     assert coincidence_count(x, f_tag, g, segment_size, threads) == coincidence_count_slow(x, f_tag, table)
 
 
