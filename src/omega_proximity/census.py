@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -75,31 +76,41 @@ def add_level_counts(acc: np.ndarray, values: np.ndarray) -> None:
         acc[low:] += np.bincount(values[i : i + (1 << 16)], minlength=len(acc))[low : len(acc)]
 
 
-def add_level_snapshots(hist: np.ndarray, seg: FactorCensus, levels: np.ndarray, cutoffs: list[int],
-                        snapshots: dict[int, np.ndarray]) -> None:
-    """Add levels, one per entry of seg, to hist, and copy hist into
-    snapshots[y] once every entry n <= y is in, for each ascending cutoff y
-    not yet taken; entries past the last are skipped."""
-    start = 0
-    for y in cutoffs[len(snapshots) :]:
-        end = min((y - seg.lo) // seg.step + 1, len(levels))  # entries n <= y
-        add_level_counts(hist, levels[start:end])
-        if y >= seg.hi:
-            break
-        snapshots[y], start = hist.copy(), end
-
-
-def lift_odd_levels(snapshots: dict[int, np.ndarray], x: int, f_tag: str) -> np.ndarray:
-    """Level histogram over 1..x from snapshots[x >> a], those over odd m <= x >> a.
-
-    f is additive, so for a >= 1 n = 2**a m sits f(2**a) levels above m; as
-    f(n) < LEVEL_CEILING, nothing is shifted past a histogram that wide.
+class LevelSnapshots:
+    """Level histograms of the n <= y at each cutoff y in ys, from one ascending
+    sweep of the odd n: add(seg, levels) takes each segment's levels in order
+    (LEVEL_CEILING and up are parked, not counted), and at(y) reads the
+    histogram over every counted n <= y.  A counted set holding 2 admits odd n
+    only (odd_only): no lift.  Otherwise n = 2**a m sits f(2**a) levels above
+    the odd m <= y >> a, as f is additive, so at(y) shifts and adds the
+    snapshots at each y >> a; as f(n) < LEVEL_CEILING, none passes the top.
     """
-    acc = np.zeros_like(snapshots[x])
-    for a in range(x.bit_length()):
-        shift = prime_power_level(a, f_tag)
-        acc[shift:] += snapshots[x >> a][: len(acc) - shift]
-    return acc
+
+    def __init__(self, ys: Iterable[int], f_tag: str, odd_only: bool):
+        self.f_tag, self.odd_only = f_tag, odd_only
+        self.cutoffs = sorted({y >> a for y in ys for a in range(1 if odd_only else y.bit_length())})
+        self.snapshots: dict[int, np.ndarray] = {}
+        self.hist = np.zeros(LEVEL_CEILING, dtype=np.int64)
+
+    def add(self, seg: FactorCensus, levels: np.ndarray) -> None:
+        """Count levels and copy the histogram at each cutoff the segment passes;
+        entries past the last cutoff are skipped."""
+        start = 0
+        for y in self.cutoffs[len(self.snapshots) :]:
+            end = min((y - seg.lo) // seg.step + 1, len(levels))  # entries n <= y
+            add_level_counts(self.hist, levels[start:end])
+            if y >= seg.hi:
+                break
+            self.snapshots[y], start = self.hist.copy(), end
+
+    def at(self, y: int) -> np.ndarray:
+        if self.odd_only:
+            return self.snapshots[y]
+        acc = np.zeros(LEVEL_CEILING, dtype=np.int64)
+        for a in range(y.bit_length()):
+            shift = prime_power_level(a, self.f_tag)
+            acc[shift:] += self.snapshots[y >> a][: LEVEL_CEILING - shift]
+        return acc
 
 
 def census(
@@ -129,10 +140,8 @@ def census(
         raise ValueError(f"census requires x >= 1, got {x}")
     tag = normalize_f(f_tag)
     members = restrict.members if restrict is not None else ()
-    # A set with 2 admits odd n only; a member of any other divides 2**a m iff it divides m.
-    lift = 2 not in members
-    cutoffs, snapshots = sorted(x >> a for a in range(x.bit_length() if lift else 1)), {}
-    hist = np.zeros(LEVEL_CEILING, dtype=np.int64)
+    # A member other than 2 divides 2**a m iff it divides m.
+    hists = LevelSnapshots([x], tag, 2 in members)
     for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
         levels = seg.values(tag)
         if members:  # park members' multiples past the histogram, as the certificate does
@@ -140,9 +149,8 @@ def census(
             hit -= 1  # 255 where a member divides n, else 0
             hit &= LEVEL_CEILING
             levels += hit
-        add_level_snapshots(hist, seg, levels, cutoffs, snapshots)
-    acc = lift_odd_levels(snapshots, x, tag) if lift else snapshots[x]
-    counts = {int(k): int(c) for k, c in enumerate(acc) if c}
+        hists.add(seg, levels)
+    counts = {int(k): int(c) for k, c in enumerate(hists.at(x)) if c}
     return CensusTable(x, tag, restrict, counts)
 
 
@@ -177,14 +185,17 @@ def concentration_tail(
     """
     if x < 3:
         raise ValueError(f"concentration_tail requires x >= 3, got {x}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     threshold = math.log(math.log(x)) ** (1.0 + delta)
     total = 0
     for seg in iter_factor_segments(2, x + 1, segment_size, threads, "omega"):
-        n = np.arange(seg.lo, seg.hi, dtype=np.float64)
-        dev = np.abs(seg.values("omega") - np.log(np.log(n)))
-        total += int((dev > threshold).sum())
+        dev = np.arange(seg.lo, seg.hi, dtype=np.float64)  # |omega(n) - log log n|, in place
+        np.log(dev, out=dev)
+        np.log(dev, out=dev)
+        np.subtract(seg.values("omega"), dev, out=dev)
+        np.abs(dev, out=dev)
+        total += int(np.count_nonzero(dev > threshold))
     return total
 
 
@@ -192,8 +203,8 @@ def interval_from_center(center: float, eps: float) -> ConcentrationInterval:
     """Window with halfwidth center**(1/2 + eps); center must be positive."""
     if center <= 0:
         raise ValueError(f"center must be positive, got {center}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     halfwidth = center ** (0.5 + eps)
     return ConcentrationInterval(center, halfwidth, center - halfwidth, center + halfwidth)
 

@@ -38,7 +38,6 @@ from .primeset import (
     threshold_prime_set,
 )
 from .proximity import (
-    REPORT_CSV_HEADER,
     _g_segment_values,
     certificate_count,
     coincidence_count,
@@ -109,17 +108,17 @@ def _resolve_g(args: argparse.Namespace, x: int, tag: str) -> tuple[GFunction, P
     return g, pset, _set_payload(args)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(args: argparse.Namespace, name: str, content: list[str] | dict) -> None:
+    """Write name under --out, CSV lines or a JSON document indented by 2
+    (NaN and infinity are refused, as JSON has neither), and print its path."""
+    path = os.path.join(args.out, name)
+    if isinstance(content, dict):
+        text = json.dumps(content, indent=2, allow_nan=False) + "\n"
+    else:
+        text = "\n".join(content) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {path}")
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -132,14 +131,10 @@ def cmd_census(args: argparse.Namespace) -> int:
     digest = config_hash(payload)
     suffix = "_coprime" if restrict is not None else ""
     base = f"census_{args.f}_x{args.x}{suffix}"
-    csv_path = os.path.join(args.out, base + ".csv")
-    meta_path = os.path.join(args.out, base + ".meta.json")
-    _write_lines(csv_path, census_csv_lines(table))
-    _write_json(meta_path, census_metadata(table, os.path.basename(csv_path), digest))
     k_star, best = mode_k(table)
     print(f"census: x={args.x} f={tag} total={table.total()} mode_k={k_star} mode_count={best}")
-    print(f"wrote {csv_path}")
-    print(f"wrote {meta_path}")
+    _write(args, base + ".csv", census_csv_lines(table))
+    _write(args, base + ".meta.json", census_metadata(table, base + ".csv", digest))
     return 0
 
 
@@ -149,37 +144,27 @@ def cmd_construct(args: argparse.Namespace) -> int:
     g = build_g(args.x, pset, tag, args.segment_size, args.threads)
     payload = {"command": "construct", "x": args.x, "f": tag, **_set_payload(args)}
     digest = config_hash(payload)
-    set_path = os.path.join(args.out, "set.json")
-    g_path = os.path.join(args.out, "g.json")
-    set_doc = pset.to_json_dict()
-    set_doc["config_hash"] = digest
-    _write_json(set_path, set_doc)
-    g_doc = g.to_json_dict()
-    g_doc["config_hash"] = digest
-    _write_json(g_path, g_doc)
     print(f"set: {list(pset.members)}")
     print(f"g table: {g.table}")
-    print(f"wrote {set_path}")
-    print(f"wrote {g_path}")
+    _write(args, "set.json", {**pset.to_json_dict(), "config_hash": digest})
+    _write(args, "g.json", {**g.to_json_dict(), "config_hash": digest})
     return 0
 
 
-def _write_g_result(args: argparse.Namespace, command: str, g_payload: dict, fields: dict) -> str:
+def _write_g_result(args: argparse.Namespace, command: str, g_payload: dict, fields: dict) -> None:
     """Write <command>_<f>_x<x>.json: x, f, fields and the configuration hash."""
     tag = F_FLAG[args.f]
     digest = config_hash({"command": command, "x": args.x, "f": tag, **g_payload})
-    out_path = os.path.join(args.out, f"{command}_{args.f}_x{args.x}.json")
-    _write_json(out_path, {"x": args.x, "f": tag, **fields, "config_hash": digest})
-    return out_path
+    _write(args, f"{command}_{args.f}_x{args.x}.json",
+           {"x": args.x, "f": tag, **fields, "config_hash": digest})
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
     g, _, g_payload = _resolve_g(args, args.x, tag)
     value = coincidence_count(args.x, tag, g, args.segment_size, args.threads)
-    out_path = _write_g_result(args, "count", g_payload, {"E": value, "g": g.to_json_dict()})
     print(f"E = {value}")
-    print(f"wrote {out_path}")
+    _write_g_result(args, "count", g_payload, {"E": value, "g": g.to_json_dict()})
     return 0
 
 
@@ -189,60 +174,42 @@ def cmd_certificate(args: argparse.Namespace) -> int:
     if pset is None or not pset.members:
         raise ValueError("certificate requires a nonempty prime set (via --g or set flags)")
     l_count, checked = certificate_count(args.x, pset, g, tag, args.segment_size, args.threads)
-    fields = {"L": l_count, "witnesses_checked": checked, "g": g.to_json_dict()}
-    out_path = _write_g_result(args, "certificate", g_payload, fields)
     print(f"L = {l_count} (witnesses checked: {checked})")
-    print(f"wrote {out_path}")
+    fields = {"L": l_count, "witnesses_checked": checked, "g": g.to_json_dict()}
+    _write_g_result(args, "certificate", g_payload, fields)
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
-    csv_path = os.path.join(args.out, "report.csv")
-    json_path = os.path.join(args.out, "report.json")
-    if not args.grid:
-        payload = {"command": "report", "grid": [], "f": tag, "eps": args.eps}
-        digest = config_hash(payload)
-        _write_lines(csv_path, [REPORT_CSV_HEADER])
-        _write_json(json_path, {"f": tag, "eps": args.eps, "rows": [], "config_hash": digest})
+    payload = {"command": "report", "grid": sorted(set(args.grid)), "f": tag, "eps": args.eps}
+    if not args.grid:  # no g is built or read, but eps is checked all the same
+        report = growth_report([], args.eps, tag, None, GFunction.identity())
+        doc = {"f": tag, "eps": args.eps, "rows": [], "config_hash": config_hash(payload)}
         print("empty grid: wrote header-only report")
-        print(f"wrote {csv_path}")
-        print(f"wrote {json_path}")
-        return 0
-    g, pset, g_payload = _resolve_g(args, max(args.grid), tag)
-    report = growth_report(args.grid, args.eps, tag, pset, g, args.segment_size, args.threads)
-    payload = {
-        "command": "report",
-        "grid": sorted(set(args.grid)),
-        "f": tag,
-        "eps": args.eps,
-        **g_payload,
-    }
-    digest = config_hash(payload)
-    _write_lines(csv_path, report_csv_lines(report))
-    _write_json(json_path, report_json_dict(report, digest))
-    for row in report.rows:
-        print(
-            f"x={row.x} E={row.e_count} L={row.l_count} "
-            f"ratio_E={row.ratio_e:.6f} ratio_L={row.ratio_l:.6f}"
-        )
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+    else:
+        g, pset, g_payload = _resolve_g(args, max(args.grid), tag)
+        report = growth_report(args.grid, args.eps, tag, pset, g, args.segment_size, args.threads)
+        doc = report_json_dict(report, config_hash({**payload, **g_payload}))
+        for row in report.rows:
+            print(
+                f"x={row.x} E={row.e_count} L={row.l_count} "
+                f"ratio_E={row.ratio_e:.6f} ratio_L={row.ratio_l:.6f}"
+            )
+    _write(args, "report.csv", report_csv_lines(report))
+    _write(args, "report.json", doc)
     return 0
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
     diag = phi_diagnostics(args.x, tag, segment_size=args.segment_size, threads=args.threads)
-    payload = {"command": "phi", "x": args.x, "f": tag}
-    digest = config_hash(payload)
-    out_path = os.path.join(args.out, f"phi_{args.f}_x{args.x}.json")
-    _write_json(out_path, phi_json_dict(diag, digest))
+    digest = config_hash({"command": "phi", "x": args.x, "f": tag})
     print(
         f"A = {diag.a_sum!r}, B = {diag.b_sum!r}, phi = {diag.phi!r}, "
         f"max_level_count = {diag.max_level_count}, K = {diag.k_of_x!r}"
     )
-    print(f"wrote {out_path}")
+    _write(args, f"phi_{args.f}_x{args.x}.json", phi_json_dict(diag, digest))
     return 0
 
 
@@ -431,11 +398,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="run the self-check suite; exit 1 on any failure")
+    _add_common(p, with_x=False)
     p.add_argument("--x", type=sweep_bound, default=10_000, help="scale for the checks")
     p.add_argument("--g", default=None, help="also validate this g JSON file")
-    p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--threads", type=positive_int, default=1)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("phi", help="prime-power moment sums and busiest level at x")
@@ -455,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # OverflowError: a float flag too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificateError as exc:

@@ -8,6 +8,7 @@ by inclusion-exclusion, the independent check on that census.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -81,8 +82,8 @@ def threshold_prime_set(delta: float, count: int) -> PrimeSetS:
     threshold_prime_set(0.5, 5) -> [2, 3, 7, 11, 13].  When the power
     threshold lags the predecessor this degenerates to consecutive primes.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     members = [2]
@@ -99,8 +100,8 @@ def power_prime_set(exponent: float, count: int) -> PrimeSetS:
     power_prime_set(2, 5) -> [3, 5, 11, 17, 29].  Keeping 2 out means every
     member carries a mod-4 residue tag.
     """
-    if exponent <= 1:
-        raise ValueError(f"exponent must be > 1, got {exponent}")
+    if not 1 < exponent < math.inf:
+        raise ValueError(f"exponent must be > 1 and finite, got {exponent}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     members: list[int] = []

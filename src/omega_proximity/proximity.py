@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
-from .census import add_level_snapshots, lift_odd_levels, normalize_f
+from .census import LevelSnapshots, normalize_f
 from .errors import CertificateError
 from .gfunction import GFunction
 from .primeset import PrimeSetS
@@ -159,9 +159,7 @@ def certificate_count(
             if 0 <= target < LEVEL_CEILING:
                 families.append((x // power, target))
             power, a = power * p, a + 1
-    cutoffs = sorted({y >> b for y, _ in families for b in range(1 if has2 else y.bit_length())})
-    snapshots: dict[int, np.ndarray] = {}
-    hist = np.zeros(LEVEL_CEILING, dtype=np.int64)
+    hists = LevelSnapshots({y for y, _ in families}, tag, has2)
     found = confirmed = 0
     for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
         f = seg.values(tag)
@@ -171,7 +169,7 @@ def certificate_count(
         levels = np.greater_equal(marks, 256).view(np.uint8)  # r route: park members' multiples
         levels *= LEVEL_CEILING
         levels += f
-        add_level_snapshots(hist, seg, levels, cutoffs, snapshots)
+        hists.add(seg, levels)
         # n route: marks - 256 - f(m) < 64 only where one odd member divides m (at
         # least 193 where two do, past 65000 where none); marks + g(2) - f(m) where none.
         marks -= f
@@ -195,8 +193,7 @@ def certificate_count(
             raise CertificateError(f"certificate witness failed in [{seg.lo}, {seg.hi})")
         del marks, gv  # 4 B per entry, freed before the next segment is sieved
 
-    lifted = snapshots if has2 else {y: lift_odd_levels(snapshots, y, tag) for y, _ in families}
-    count = sum(int(lifted[y][level]) for y, level in families)
+    count = sum(int(hists.at(y)[level]) for y, level in families)
     if count != found:
         raise CertificateError(f"certificate routes disagree: {count} by r, {found} by n")
     return count, found
@@ -217,8 +214,8 @@ def growth_report(
     ratio that stays bounded away from zero as x grows is the empirical
     signature the construction aims for.  g stays fixed across the grid.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     tag = normalize_f(f_tag)
     grid = sorted({int(v) for v in x_grid})
     for v in grid:
@@ -237,11 +234,8 @@ def growth_report(
     return ProximityReport(tag, eps, prime_set, g, tuple(rows))
 
 
-REPORT_CSV_HEADER = "x,f,E,L,loglogx,eps,ratio_E,ratio_L"
-
-
 def report_csv_lines(report: ProximityReport) -> list[str]:
-    lines = [REPORT_CSV_HEADER]
+    lines = ["x,f,E,L,loglogx,eps,ratio_E,ratio_L"]
     for r in report.rows:
         lines.append(
             f"{r.x},{report.f_tag},{r.e_count},{r.l_count},"
@@ -284,7 +278,7 @@ def phi_diagnostics(
     vanishing share of the integers.
 
     One sweep of the odd n <= x fills a level histogram, lifted to 1..x by
-    census.lift_odd_levels, and writes 1/p for each prime (2, then each odd
+    census.LevelSnapshots, and writes 1/p for each prime (2, then each odd
     n with f(n) == 1 that is no prime power p**a, a >= 2, listed first) into
     a buffer sized by pi(x) < 1.25506 x / ln x (Rosser-Schoenfeld), ascending
     whatever the segments or threads.  The exponent-1 terms are np.sum over
@@ -303,11 +297,10 @@ def phi_diagnostics(
     odd_powers = np.sort(np.array([q for p, _, q in powers if p > 2], dtype=np.int64))
     recips = np.empty(cap, dtype=np.float64)  # unwritten pages are never faulted in
     recips[0], k = 0.5, 1  # the one even prime
-    cutoffs, snapshots = sorted(x >> a for a in range(x.bit_length())), {}
-    levels = np.zeros(LEVEL_CEILING, dtype=np.int64)
+    hists = LevelSnapshots([x], tag, False)
     for seg in segments:
         f = seg.values(tag)
-        add_level_snapshots(levels, seg, f, cutoffs, snapshots)
+        hists.add(seg, f)
         ones = np.equal(f, 1, out=f.view(bool))  # f is read no more: reuse its bytes
         i, j = np.searchsorted(odd_powers, (seg.lo, seg.hi))
         ones[(odd_powers[i:j] - seg.lo) >> 1] = False
@@ -325,7 +318,7 @@ def phi_diagnostics(
         fv = prime_power_level(a, tag)
         a_sum += fv * (1.0 - 1.0 / p)
         b_sum += (fv * fv) / power
-    max_count = int(lift_odd_levels(snapshots, x, tag).max())
+    max_count = int(hists.at(x).max())
     return PhiDiagnostics(x, tag, a_sum, b_sum, b_sum / a_sum, max_count, x / max_count)
 
 

@@ -1,6 +1,7 @@
 """Level-set censuses, mode finding, tails, and windows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from omega_proximity import sieve
 from omega_proximity.census import (
     CensusTable,
+    LevelSnapshots,
     add_level_counts,
     census,
     census_csv_lines,
@@ -21,7 +23,12 @@ from omega_proximity.census import (
     mode_k,
     normalize_f,
 )
-from omega_proximity.primeset import PrimeSetS, coprime_count_inclusion_exclusion, power_prime_set
+from omega_proximity.primeset import (
+    PrimeSetS,
+    coprime_count_inclusion_exclusion,
+    coprime_mask,
+    power_prime_set,
+)
 from omega_proximity.proximity import phi_diagnostics
 
 from oracles import census_slow, concentration_tail_slow, mode_slow
@@ -156,6 +163,36 @@ def test_census_matches_slow_oracle_on_random_sets(x, tag, members):
             assert got.counts == want, (segment_size, threads)
 
 
+# Cutoffs at 1, at 2**k and at 2**k +- 1 fall at the ends of odd segments and
+# of their 2-adic cutoffs y >> a.
+_CUTOFFS = st.one_of(
+    st.integers(1, 5000),
+    st.sampled_from(sorted({1, *(2**k + d for k in range(1, 13) for d in (-1, 0, 1))})),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ys=st.lists(_CUTOFFS, min_size=1, max_size=6), past=st.integers(0, 3000),
+       tag=st.sampled_from(["omega", "big_omega"]), members=_prime_sets())
+@example(ys=[1], past=0, tag="omega", members=[])
+@example(ys=[1, 2, 3, 4095, 4096, 4097], past=0, tag="big_omega", members=[2, 3])
+@example(ys=[1023, 1024, 1025, 2048], past=1, tag="omega", members=[3, 5])
+@example(ys=[2047, 4096], past=0, tag="big_omega", members=[])
+def test_level_snapshots_match_slow_census_at_every_cutoff(ys, past, tag, members):
+    # Each odd segment's levels go in with members' multiples parked at
+    # 64 + f (64 and up are never counted); the sweep runs past the last cutoff.
+    want = {y: census_slow(y, tag, members) for y in set(ys)}
+    for segment_size in (64, 1000, 1 << 20):
+        for threads in (1, 2):
+            hists = LevelSnapshots(ys, tag, 2 in members)
+            for seg in sieve.iter_factor_segments(1, max(ys) + past + 1, segment_size, threads, tag, 2):
+                keep = coprime_mask(seg.lo, seg.hi, members, 2)
+                hists.add(seg, np.where(keep, seg.f, sieve.LEVEL_CEILING + seg.f))
+            for y, counts in want.items():
+                got = {k: int(c) for k, c in enumerate(hists.at(y)) if c}
+                assert got == counts, (y, segment_size, threads)
+
+
 @settings(max_examples=20, deadline=None)
 @given(x=st.integers(1, 100_000), members=_prime_sets(), segment_size=st.sampled_from([1000, 1 << 20]))
 def test_restricted_total_matches_inclusion_exclusion(x, members, segment_size):
@@ -194,8 +231,9 @@ def test_concentration_tail_small():
     assert concentration_tail(100, 1.0) == 0
     with pytest.raises(ValueError):
         concentration_tail(2, 0.1)
-    with pytest.raises(ValueError):
-        concentration_tail(100, 0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            concentration_tail(100, bad)
 
 
 def test_concentration_tail_matches_oracle():
@@ -205,6 +243,20 @@ def test_concentration_tail_matches_oracle():
 
 def test_concentration_tail_frozen_at_1e4():
     assert concentration_tail(10_000, 0.1) == 33
+
+
+def test_concentration_tail_memory_is_per_segment():
+    # One float64 buffer per segment, worked in place, besides the sweep's own
+    # 3 B per entry; separate arange, log, log, difference and abs arrays
+    # took about 34 B per entry.
+    segment_size = 1 << 16
+    tracemalloc.start()
+    try:
+        assert concentration_tail(2_000_000, 0.1, segment_size=segment_size) == 6980
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * segment_size
 
 
 def test_concentration_tail_segment_independence():
@@ -217,8 +269,9 @@ def test_interval_geometry():
     assert w.lo == 0.0 and w.hi == 8.0
     with pytest.raises(ValueError):
         interval_from_center(0.0, 0.1)
-    with pytest.raises(ValueError):
-        interval_from_center(2.0, 0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            interval_from_center(2.0, bad)
 
 
 def test_concentration_interval_frozen():

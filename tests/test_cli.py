@@ -111,9 +111,9 @@ def test_verify_passes(tmp_path, capsys):
 def test_verify_fails_a_wrong_lift(tmp_path, capsys, monkeypatch):
     # Lifting omega by a, as for big_omega, keeps every total but puts the
     # even n at the wrong levels; only a full sweep can tell.
-    lift = census_module.lift_odd_levels
-    monkeypatch.setattr(census_module, "lift_odd_levels",
-                        lambda snapshots, x, tag: lift(snapshots, x, "big_omega"))
+    init = census_module.LevelSnapshots.__init__
+    monkeypatch.setattr(census_module.LevelSnapshots, "__init__",
+                        lambda self, ys, tag, odd_only: init(self, ys, "big_omega", odd_only))
     assert run(["verify", "--x", "2000"], tmp_path) == 1
     out = capsys.readouterr().out
     assert "[ ok ] census-partition" in out
@@ -164,6 +164,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["census", "--x", "10", "--f", "theta"], tmp_path)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--grid", "10000", "--eps", "nan"],
+    ["report", "--grid", "10000", "--eps", "inf"],
+    ["construct", "--x", "1000", "--set", "paper", "--delta", "nan"],
+    ["construct", "--x", "1000", "--set", "power", "--param", "inf"],
+    ["report", "--grid=", "--eps", "-1"],
+    ["construct", "--x", "1000", "--set", "paper", "--delta", "2000"],
+], ids=["eps-nan", "eps-inf", "delta-nan", "param-inf", "empty-grid-eps-negative", "delta-overflow"])
+def test_bad_float_flags_exit_2(tmp_path, capsys, argv):
+    # JSON has no NaN or infinity, and an infinite or huge exponent overflows
+    # the set builder's float power: refused before any file is written.
+    out = tmp_path / "out"
+    assert run(argv, out) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

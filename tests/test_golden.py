@@ -2,7 +2,8 @@
 
 The digests were recorded once and are not regenerated by the tests, so a
 change to any byte of any output file (formatting, field order, a float
-repr, a config hash) fails here.  Every run repeats at a small segment size
+repr, a config hash) fails here, and so does a change to what a run
+prints or the order it prints it in.  Every run repeats at a small segment size
 with two threads: the files must not depend on either.
 """
 
@@ -155,6 +156,27 @@ GOLDEN = {
     ),
 }
 
+# sha256 of each run's stdout, with the --out directory written as {out}:
+# the summary lines and the "wrote" lines, in their order.
+STDOUT = {
+    "census-omega": "6e5039fb475e996d71d9a2ef88fb80fbc1a6a85d945c03a5b7a526c9384525c5",
+    "census-power-of-two": "a9cf4cb2f7a8f802e8c1784bdd9695842a557f17fca39ac186f0fa716cc7c689",
+    "census-restricted": "c31c6099b7aca74be6354624c496fb358052db4eed1147ef6fdffd8021035eb2",
+    "census-restricted-with-2": "cc2b36c18c3c113ae2d26b8cedc2ff9d18737cbd90485d4cc7dc2d206fc3cac6",
+    "certificate": "269ba07480733d95dea3e89881dbfcc55f3401ae5393234beaacb6213580773a",
+    "certificate-g-two-neutral": "352c7fbbf66c56907b833e2899f82927158451881f17d6b93f66cf63ce648a25",
+    "construct": "37cbb1872539ffe3c023aad29d8ec625eedca648dcafdc11ec4e5eef12a08bb2",
+    "count-g": "ef8607177d3490bd3b13ae6583f74c169689b7a0586913d34b0b329b674f9fdc",
+    "count-g-two-off-set": "401ffeb21703a3fea313070d2a6464305e209dbd746e279596dc18c874ca0a86",
+    "count-omega-g-two-off-set": "3117a0448e09af54a8e99807e00355581e22008a1231d79ede08e037105e8654",
+    "phi": "059ff2f2d1eac3cbea9677636882f5eb4ff86df4c0647d45b80ed616c4d2405a",
+    "phi-omega": "5512170415cd015e48464c5303842905f46e8350ec3712fc63ea14c8ff853262",
+    "report": "70733e0968a81202d97742addde9ae58f8cc8b54c5623b618104790258e1dac9",
+    "report-bigomega-paper": "7ab8b025bc33856c196a9de16bfbbad405a52d7f049006e4830998fce7cf8f12",
+    "report-empty": "baead92f882cdd72de6cedb367116bb26b91e9b697bff35a3e1b4237becfadd2",
+    "report-omega-paper": "575726344186feeab901c6ae2123181417fb6d105b3e27d78f82e05be99d82f7",
+}
+
 
 @pytest.fixture(scope="module")
 def g_file(tmp_path_factory):
@@ -186,8 +208,11 @@ def g_files(g_file, tmp_path_factory):
 def test_output_bytes_are_frozen(name, sweep, tmp_path, g_files, capsys):
     argv, expected = GOLDEN[name]
     argv = [g_files.get(a, a) for a in argv]
+    capsys.readouterr()
     assert main([*argv, *sweep, "--out", str(tmp_path)]) == 0
     written = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
     }
     assert written == expected
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "{out}")
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == STDOUT[name]

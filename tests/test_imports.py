@@ -1,7 +1,8 @@
-"""Every name a package module imports is used by that module.
+"""Lint checks on the package's syntax trees.
 
-No linter ships with the project, so this walks each module's syntax tree
-instead.  __init__.py is skipped: its imports are the package's exports.
+Every name a package module imports is used by that module, and the CLI's
+one writer is the only code that writes a file.  No linter ships with the
+project, so these walk each module's syntax tree instead.
 """
 
 import ast
@@ -11,6 +12,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "omega_proximity"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Methods that write a file whatever their receiver: pathlib's and numpy's.
+WRITING_METHODS = {"write_text", "write_bytes", "tofile", "save", "savez", "savetxt"}
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -31,3 +34,32 @@ def _used_names(tree: ast.Module) -> set[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_imported_names(tree) - _used_names(tree)) == []
+
+
+def _file_writes(node: ast.AST, where: str = "<module>") -> list[str]:
+    """The enclosing function of each call in node that writes a file: open()
+    in a mode with w, a, x or + (or a mode not spelled out), or a writing method."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _file_writes(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+                if any(not isinstance(m, ast.Constant) or set("wax+") & set(m.value) for m in modes):
+                    found.append(where)
+            elif isinstance(func, ast.Attribute) and func.attr in WRITING_METHODS:
+                found.append(where)
+        found += _file_writes(child, where)
+    return found
+
+
+def test_only_the_cli_writer_writes_files():
+    writes = [
+        (path.name, where)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _file_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert writes == [("cli.py", "_write")]

@@ -39,8 +39,12 @@ def test_power_set_examples():
 def test_power_set_excludes_two_and_rejects_slow_growth():
     s = power_prime_set(2.0, 40)
     assert 2 not in s.members
-    with pytest.raises(ValueError):
-        power_prime_set(1.0, 5)
+    for bad in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            power_prime_set(bad, 5)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            threshold_prime_set(bad, 5)
 
 
 def test_builders_emit_increasing_primes():
