@@ -14,7 +14,7 @@ from .census import (
     normalize_f,
 )
 from .errors import CapacityError, CertificateError, ScaleError
-from .gfunction import GEntry, GFunction, MaximizerRecord, build_g, compute_maximizer
+from .gfunction import GEntry, GFunction, build_g, compute_maximizer
 from .primeset import (
     PrimeSetS,
     coprime_count_inclusion_exclusion,
@@ -55,7 +55,6 @@ __all__ = [
     "FactorCensus",
     "GEntry",
     "GFunction",
-    "MaximizerRecord",
     "PhiDiagnostics",
     "PrimeList",
     "PrimeSetS",

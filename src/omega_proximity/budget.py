@@ -1,4 +1,4 @@
-"""Memory budget and range segmentation.
+"""Memory budget.
 
 All range computations run segment by segment.  Peak memory is estimated as
 bytes-per-integer times the largest live array span and checked against a
@@ -10,7 +10,6 @@ runaway requests into a clean CapacityError instead of an OOM kill.
 from __future__ import annotations
 
 import os
-from typing import Iterator
 
 from .errors import CapacityError
 
@@ -47,12 +46,3 @@ def require_budget(nbytes: int, what: str) -> None:
             f"{what} needs about {need} MB but the budget is {budget} MB"
             f" (set {BUDGET_ENV_VAR} to raise it)"
         )
-
-
-def iter_ranges(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int]]:
-    """Split [lo, hi) into consecutive [a, b) spans of at most segment_size."""
-    a = lo
-    while a < hi:
-        b = min(a + segment_size, hi)
-        yield a, b
-        a = b

@@ -143,7 +143,7 @@ def census(
     # A member other than 2 divides 2**a m iff it divides m.
     hists = LevelSnapshots([x], tag, 2 in members)
     for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
-        levels = seg.values(tag)
+        levels = seg.f
         if members:  # park members' multiples past the histogram, as the certificate does
             hit = coprime_mask(seg.lo, seg.hi, members, 2).view(np.uint8)
             hit -= 1  # 255 where a member divides n, else 0
@@ -193,7 +193,7 @@ def concentration_tail(
         dev = np.arange(seg.lo, seg.hi, dtype=np.float64)  # |omega(n) - log log n|, in place
         np.log(dev, out=dev)
         np.log(dev, out=dev)
-        np.subtract(seg.values("omega"), dev, out=dev)
+        np.subtract(seg.f, dev, out=dev)
         np.abs(dev, out=dev)
         total += int(np.count_nonzero(dev > threshold))
     return total

@@ -19,20 +19,8 @@ from .primeset import PrimeSetS
 from .sieve import is_prime
 
 
-@dataclass(frozen=True)
-class MaximizerRecord:
-    """Argmax of a restricted census used to value one member prime.
-
-    level is the factor-count level with the largest count among integers
-    r <= x // prime coprime to the whole set; ties resolve to the smaller
-    level.
-    """
-
-    index: int  # 1-based position in the set
-    prime: int
-    x: int
-    level: int
-    count: int
+def _is_int(v: object) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -52,8 +40,9 @@ class GFunction:
 
     g(n) is the product of table values over the table primes dividing n;
     primes outside the table contribute 1, so the empty table is g == 1.
-    Table primes must be distinct primes below 2**63 and values integers
-    >= 0; anything else raises ValueError at construction.
+    Table primes must be distinct primes below 2**63, values integers >= 0
+    and x None or an integer >= 1; anything else raises ValueError at
+    construction.
     """
 
     x: int | None
@@ -62,10 +51,12 @@ class GFunction:
     entries: tuple[GEntry, ...]
 
     def __post_init__(self) -> None:
+        if self.x is not None and (not _is_int(self.x) or self.x < 1):
+            raise ValueError(f"g x must be None or an integer >= 1, got {self.x!r}")
         seen: set[int] = set()
         for e in self.entries:
             for name, v in (("prime", e.prime), ("value", e.value)):
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                if not _is_int(v):
                     raise ValueError(f"g table {name} must be an integer, got {v!r}")
             if e.prime >= 1 << 63 or not is_prime(e.prime):
                 raise ValueError(f"g table prime {e.prime} is not a prime below 2**63")
@@ -133,8 +124,9 @@ def compute_maximizer(
     f_tag: str = "big_omega",
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
-) -> MaximizerRecord:
-    """Busiest f-level among r <= x // member coprime to the whole set.
+) -> tuple[int, int]:
+    """(level, count) of the busiest f-level among r <= x // member coprime
+    to the whole set, ties resolved toward the smaller level.
 
     index is 1-based.  Requires member <= x/2 so the restricted range
     holds more than r = 1; smaller x raises ScaleError.
@@ -145,9 +137,7 @@ def compute_maximizer(
     prime = prime_set.members[index - 1]
     if 2 * prime > x:
         raise ScaleError(f"member {prime} needs x >= {2 * prime}, got x = {x}")
-    table = census(x // prime, tag, restrict=prime_set, segment_size=segment_size, threads=threads)
-    level, count = mode_k(table)
-    return MaximizerRecord(index, prime, x, level, count)
+    return mode_k(census(x // prime, tag, restrict=prime_set, segment_size=segment_size, threads=threads))
 
 
 def build_g(
@@ -159,14 +149,15 @@ def build_g(
 ) -> GFunction:
     """Value every member of the set from its restricted-census maximizer.
 
-    With f = big_omega the bookkeeping level z splits by residue class:
-    members 1 mod 4 take z = level + 2 and value z - 1, members 3 mod 4
-    take z = level and value z + 1; both land on level + 1.  The member 2
-    carries no class and keeps value 1.  With f = omega every member,
-    including 2, takes value z = level + 1.
+    Every member that does not fall back takes value level + 1, one above
+    the busiest level of its restricted census.  Only the bookkeeping level
+    z depends on f and the residue class: z = level + 1 with f = omega;
+    with f = big_omega, z = level + 2 for members 1 mod 4 (value z - 1) and
+    z = level for members 3 mod 4 (value z + 1).
 
-    Members above x/2 have no usable restricted range; they fall back to
-    value 1 with fallback=True, and still contribute their own prime as a
+    Members above x/2 have no usable restricted range, and with f =
+    big_omega the member 2 carries no class; they fall back to value 1
+    with fallback=True, and still contribute their own prime as a
     coincidence witness.  Rebuilding at the same (x, set, f) reproduces
     the same table byte for byte.
     """
@@ -175,22 +166,10 @@ def build_g(
     tag = normalize_f(f_tag)
     entries: list[GEntry] = []
     for index, (prime, residue) in enumerate(zip(prime_set.members, prime_set.classes), 1):
-        if tag == "big_omega" and prime == 2:
-            # No residue class mod 4; keep g(2) neutral.
-            entries.append(GEntry(prime, 1, None, None, True))
-            continue
-        if 2 * prime > x:
+        if 2 * prime > x or (tag == "big_omega" and prime == 2):
             entries.append(GEntry(prime, 1, None, residue, True))
             continue
-        rec = compute_maximizer(x, prime_set, index, tag, segment_size, threads)
-        if tag == "omega":
-            z = rec.level + 1
-            value = z
-        elif residue == 1:
-            z = rec.level + 2
-            value = z - 1
-        else:
-            z = rec.level
-            value = z + 1
-        entries.append(GEntry(prime, value, z, residue, False))
+        level, _ = compute_maximizer(x, prime_set, index, tag, segment_size, threads)
+        z = level + (1 if tag == "omega" else 2 if residue == 1 else 0)
+        entries.append(GEntry(prime, level + 1, z, residue, False))
     return GFunction(x, prime_set, tag, tuple(entries))

@@ -19,19 +19,30 @@ from .sieve import is_prime, next_prime
 
 @dataclass(frozen=True)
 class PrimeSetS:
-    """Ascending odd primes, optionally led by 2.
+    """Strictly increasing primes: odd ones, optionally led by 2.
 
-    classes[i] is members[i] mod 4 (1 or 3); the member 2 carries None and
-    is excluded from the per-class reciprocal sums.  kind records which
+    Anything else raises ValueError at construction.  kind records which
     builder produced the set ("paper", "power", or "custom"), delta and
     exponent the builder's parameter.
     """
 
     members: tuple[int, ...]
-    classes: tuple[int | None, ...]
     kind: str = "custom"
     delta: float | None = None
     exponent: float | None = None
+
+    def __post_init__(self) -> None:
+        for i, m in enumerate(self.members):
+            if not is_prime(m):
+                raise ValueError(f"set member {m} is not prime")
+            if i and m <= self.members[i - 1]:
+                raise ValueError("set members must be strictly increasing")
+
+    @property
+    def classes(self) -> tuple[int | None, ...]:
+        """members[i] mod 4 (1 or 3); the member 2 carries None and is
+        excluded from the per-class reciprocal sums."""
+        return tuple(None if m == 2 else m % 4 for m in self.members)
 
     @classmethod
     def from_members(
@@ -41,16 +52,7 @@ class PrimeSetS:
         delta: float | None = None,
         exponent: float | None = None,
     ) -> "PrimeSetS":
-        ms = tuple(int(m) for m in members)
-        for i, m in enumerate(ms):
-            if not is_prime(m):
-                raise ValueError(f"set member {m} is not prime")
-            if i and m <= ms[i - 1]:
-                raise ValueError("set members must be strictly increasing")
-            if m == 2 and i:
-                raise ValueError("2 may only appear as the first member")
-        tags = tuple(None if m == 2 else m % 4 for m in ms)
-        return cls(ms, tags, kind, delta, exponent)
+        return cls(tuple(int(m) for m in members), kind, delta, exponent)
 
     def to_json_dict(self) -> dict:
         r1, r3 = reciprocal_sums(self)
@@ -75,6 +77,13 @@ class PrimeSetS:
         )
 
 
+def _grow(members: list[int], thresholds: Iterable[float]) -> list[int]:
+    """Append, for each threshold t_j, the smallest prime above max(last member, t_j)."""
+    for t in thresholds:
+        members.append(next_prime(max(members[-1], t) if members else t))
+    return members
+
+
 def threshold_prime_set(delta: float, count: int) -> PrimeSetS:
     """Set starting at 2 where each later member is the smallest prime
     exceeding both its predecessor and j**(1 + delta) at position j.
@@ -86,10 +95,7 @@ def threshold_prime_set(delta: float, count: int) -> PrimeSetS:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    members = [2]
-    for j in range(2, count + 1):
-        threshold = max(members[-1], j ** (1.0 + delta))
-        members.append(next_prime(threshold))
+    members = _grow([2], (j ** (1.0 + delta) for j in range(2, count + 1)))
     return PrimeSetS.from_members(members, kind="paper", delta=float(delta))
 
 
@@ -104,12 +110,7 @@ def power_prime_set(exponent: float, count: int) -> PrimeSetS:
         raise ValueError(f"exponent must be > 1 and finite, got {exponent}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    members: list[int] = []
-    for j in range(1, count + 1):
-        threshold = max(float(j) ** float(exponent), 2.0)
-        if members:
-            threshold = max(threshold, members[-1])
-        members.append(next_prime(threshold))
+    members = _grow([], (max(float(j) ** float(exponent), 2.0) for j in range(1, count + 1)))
     return PrimeSetS.from_members(members, kind="power", exponent=float(exponent))
 
 

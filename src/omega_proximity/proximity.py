@@ -104,7 +104,7 @@ def coincidence_count(
     g2 = min(g.table.get(2, 1), LEVEL_CEILING)
     total = 0
     for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
-        f = seg.values(tag)
+        f = seg.f
         gv = _g_segment_values(g, seg.lo, seg.hi, 2)
         total += int(np.count_nonzero(gv == f))
         gv *= g2  # g(2**b m), b >= 1: at most 64 * 64, and 64 and up match no f(n)
@@ -162,7 +162,7 @@ def certificate_count(
     hists = LevelSnapshots({y for y, _ in families}, tag, has2)
     found = confirmed = 0
     for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
-        f = seg.values(tag)
+        f = seg.f
         marks = np.zeros(len(f), dtype=np.uint16)  # 256 + capped g(p) per odd member p | m
         for p, mark in odd_marks:
             marks[(p - seg.lo) % (2 * p) // 2 :: p] += mark
@@ -299,7 +299,7 @@ def phi_diagnostics(
     recips[0], k = 0.5, 1  # the one even prime
     hists = LevelSnapshots([x], tag, False)
     for seg in segments:
-        f = seg.values(tag)
+        f = seg.f
         hists.add(seg, f)
         ones = np.equal(f, 1, out=f.view(bool))  # f is read no more: reuse its bytes
         i, j = np.searchsorted(odd_powers, (seg.lo, seg.hi))

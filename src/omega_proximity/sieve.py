@@ -22,12 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .budget import (
-    DEFAULT_SEGMENT_SIZE,
-    WORKING_BYTES_PER_N,
-    iter_ranges,
-    require_budget,
-)
+from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
 
 MIN_SEGMENT_SIZE = 64
 F_TAGS = ("omega", "big_omega")
@@ -64,14 +59,8 @@ class FactorCensus:
 
     lo: int
     hi: int
-    f_tag: str
     f: np.ndarray
     step: int = 1
-
-    def values(self, f_tag: str) -> np.ndarray:
-        if f_tag != self.f_tag:
-            raise ValueError(f"this census holds {self.f_tag}, not {f_tag!r}")
-        return self.f
 
 
 def primes_up_to(limit: int) -> PrimeList:
@@ -258,9 +247,10 @@ def iter_factor_segments(
 
     def worker(span: tuple[int, int]) -> FactorCensus:
         a, b = span
-        return FactorCensus(a, b, f_tag, _segment_factor_counts(a, b, hits, thresholds, step), step)
+        return FactorCensus(a, b, _segment_factor_counts(a, b, hits, thresholds, step), step)
 
-    return _pipelined(worker, iter_ranges(lo, hi, step * segment_size), threads)
+    width = step * segment_size
+    return _pipelined(worker, ((a, min(a + width, hi)) for a in range(lo, hi, width)), threads)
 
 
 def factorize(n: int) -> list[int]:

@@ -73,7 +73,7 @@ def full_report(power_set_5, g_at_top):
 def test_c01_sieve_matches_trial_division_to_1e5():
     start = time.monotonic()
     omega, big_omega = (
-        np.concatenate([seg.values(tag) for seg in iter_factor_segments(1, 100_000, f_tag=tag)])
+        np.concatenate([seg.f for seg in iter_factor_segments(1, 100_000, f_tag=tag)])
         for tag in ("omega", "big_omega")
     )
     bad = 0
@@ -168,7 +168,7 @@ def _deviation_square_sums(grid) -> dict[int, float]:
     parts = {x: [] for x in grid}
     for seg in iter_factor_segments(2, max(grid) + 1, f_tag="omega"):
         n = np.arange(seg.lo, seg.hi, dtype=np.float64)
-        sq = (seg.values("omega") - np.log(np.log(n))) ** 2
+        sq = (seg.f - np.log(np.log(n))) ** 2
         for x in grid:
             if seg.lo <= x:
                 parts[x].append(float(sq[: min(x + 1, seg.hi) - seg.lo].sum()))

@@ -266,6 +266,26 @@ def test_malformed_g_file_exit_2(tmp_path, capsys, doc, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("x", [1000.0, "1000", True], ids=["float", "str", "bool"])
+def test_g_file_x_must_be_an_integer(tmp_path, capsys, x):
+    assert run(["construct", "--x", "2000"], tmp_path) == 0
+    doc = json.loads((tmp_path / "g.json").read_text())
+    doc["x"] = x
+    g_path = tmp_path / "g_bad_x.json"
+    g_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["count", "--x", "1000", "--g", str(g_path)], out) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert list(out.iterdir()) == []
+    assert run(["verify", "--x", "2000", "--g", str(g_path)], out) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] g-file-integrity: unreadable or inconsistent" in captured.out
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", [
     ["census"], ["construct"], ["count"], ["certificate"], ["phi"], ["verify"], ["report"],
 ])

@@ -1,14 +1,17 @@
 """Lint checks on the package's syntax trees.
 
-Every name a package module imports is used by that module, and the CLI's
-one writer is the only code that writes a file.  No linter ships with the
-project, so these walk each module's syntax tree instead.
+Every name a package module imports is used by that module, the package
+exports exactly the names its __init__ imports, and the CLI's one writer is
+the only code that writes a file.  No linter ships with the project, so
+these walk each module's syntax tree instead.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import omega_proximity
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "omega_proximity"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -34,6 +37,21 @@ def _used_names(tree: ast.Module) -> set[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_imported_names(tree) - _used_names(tree)) == []
+
+
+def test_exports_are_the_imported_names():
+    # A record removed from its module cannot linger in __all__, and no
+    # imported name goes unexported.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    ]
+    assert len(exported) == len(set(exported))
+    assert set(exported) == _imported_names(tree)
+    assert set(exported) == set(omega_proximity.__all__)
+    assert all(hasattr(omega_proximity, name) for name in exported)
 
 
 def _file_writes(node: ast.AST, where: str = "<module>") -> list[str]:

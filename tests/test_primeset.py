@@ -64,6 +64,15 @@ def test_from_members_validation():
     assert s.classes == (None, 1)
 
 
+def test_direct_construction_validates_members():
+    # The member checks run on construction, so no route builds an invalid
+    # set; 2 after another member fails as not strictly increasing.
+    for members in ((4,), (5, 3), (3, 3), (3, 2)):
+        with pytest.raises(ValueError):
+            PrimeSetS(members)
+    assert PrimeSetS((2, 13)).classes == (None, 1)
+
+
 def test_reciprocal_sums_split_by_class():
     s = PrimeSetS.from_members([3, 5, 7])
     r1, r3 = reciprocal_sums(s)

@@ -34,7 +34,7 @@ from oracles import (
 
 def _sweep(lo, hi, segment_size=DEFAULT_SEGMENT_SIZE, threads=1, f_tag="big_omega"):
     """f_tag at every n in [lo, hi), the segments of one sweep joined."""
-    return np.concatenate([seg.values(f_tag) for seg in iter_factor_segments(lo, hi, segment_size, threads, f_tag)])
+    return np.concatenate([seg.f for seg in iter_factor_segments(lo, hi, segment_size, threads, f_tag)])
 
 
 def test_primes_up_to_small():
@@ -110,18 +110,6 @@ def test_sieve_matches_oracle_to_2000():
 def test_sieve_interior_window():
     assert _sweep(990, 1010, f_tag="omega")[999 - 990] == 2
     assert _sweep(990, 1010, f_tag="big_omega")[999 - 990] == 4
-
-
-def test_values_accessor():
-    # A segment holds the one tag its sweep computed and refuses the other,
-    # or a misspelt one, rather than hand back the wrong counts.
-    for tag, other in (("omega", "big_omega"), ("big_omega", "omega")):
-        seg = next(iter_factor_segments(1, 50, f_tag=tag))
-        assert seg.f_tag == tag
-        assert seg.values(tag) is seg.f
-        for wrong in (other, "bigomega"):
-            with pytest.raises(ValueError):
-                seg.values(wrong)
 
 
 def test_unknown_tag_refused_before_any_buffer(monkeypatch):
@@ -235,7 +223,7 @@ def test_step_two_holds_the_odd_entries(b, before, after):
                 assert [seg.lo for seg in segments] == list(range(lo, hi, 2 * segment_size))
                 assert sum(seg.hi - seg.lo for seg in segments) == hi - lo
                 assert all(seg.step == 2 and len(seg.f) <= segment_size for seg in segments)
-                odd = np.concatenate([seg.values(tag) for seg in segments])
+                odd = np.concatenate([seg.f for seg in segments])
                 assert np.array_equal(odd, full[::2]), (tag, segment_size, threads)
 
 
