@@ -11,7 +11,6 @@ from .census import (
     interval_from_center,
     levels_in_interval,
     mode_k,
-    normalize_f,
 )
 from .errors import CapacityError, CertificateError, ScaleError
 from .gfunction import GEntry, GFunction, build_g, compute_maximizer
@@ -80,7 +79,6 @@ __all__ = [
     "memory_budget_mb",
     "mode_k",
     "next_prime",
-    "normalize_f",
     "phi_diagnostics",
     "power_prime_set",
     "primes_up_to",

@@ -17,16 +17,7 @@ import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE
 from .primeset import PrimeSetS, coprime_mask
-from .sieve import F_TAGS, LEVEL_CEILING, FactorCensus, iter_factor_segments, prime_power_level
-
-
-def normalize_f(tag: str) -> str:
-    t = tag.strip().lower().replace("-", "_")
-    if t == "bigomega":
-        t = "big_omega"
-    if t not in F_TAGS:
-        raise ValueError(f"f must be one of {F_TAGS}, got {tag!r}")
-    return t
+from .sieve import LEVEL_CEILING, FactorCensus, iter_factor_segments, prime_power_level
 
 
 @dataclass(frozen=True)
@@ -138,11 +129,11 @@ def census(
     """
     if x < 1:
         raise ValueError(f"census requires x >= 1, got {x}")
-    tag = normalize_f(f_tag)
+    segments = iter_factor_segments(1, x + 1, segment_size, threads, f_tag, 2)  # checks the tag first
     members = restrict.members if restrict is not None else ()
     # A member other than 2 divides 2**a m iff it divides m.
-    hists = LevelSnapshots([x], tag, 2 in members)
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
+    hists = LevelSnapshots([x], f_tag, 2 in members)
+    for seg in segments:
         levels = seg.f
         if members:  # park members' multiples past the histogram, as the certificate does
             hit = coprime_mask(seg.lo, seg.hi, members, 2).view(np.uint8)
@@ -151,7 +142,7 @@ def census(
             levels += hit
         hists.add(seg, levels)
     counts = {int(k): int(c) for k, c in enumerate(hists.at(x)) if c}
-    return CensusTable(x, tag, restrict, counts)
+    return CensusTable(x, f_tag, restrict, counts)
 
 
 def mode_k(table: CensusTable) -> tuple[int, int]:

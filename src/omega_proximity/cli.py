@@ -77,6 +77,11 @@ def positive_int(raw: str) -> int:
     return value
 
 
+def positive_bound(raw: str) -> int:
+    """A sweep_bound of at least 1."""
+    return sweep_bound(str(positive_int(raw)))
+
+
 def _build_set(args: argparse.Namespace) -> PrimeSetS:
     if args.set == "paper":
         return threshold_prime_set(args.delta, args.count)
@@ -97,15 +102,13 @@ def _load_g(path: str) -> GFunction:
         raise ValueError(f"malformed g file {path}: {exc!r}") from exc
 
 
-def _resolve_g(args: argparse.Namespace, x: int, tag: str) -> tuple[GFunction, PrimeSetS | None, dict]:
+def _resolve_g(args: argparse.Namespace, x: int, tag: str) -> tuple[GFunction, dict]:
     """g from --g file when given, else built inline from the set flags."""
     if getattr(args, "g", None):
         g = _load_g(args.g)
-        payload = {"g_file": os.path.basename(args.g), "g_table": sorted(g.table.items())}
-        return g, g.prime_set, payload
-    pset = _build_set(args)
-    g = build_g(x, pset, tag, args.segment_size, args.threads)
-    return g, pset, _set_payload(args)
+        return g, {"g_file": os.path.basename(args.g), "g_table": sorted(g.table.items())}
+    g = build_g(x, _build_set(args), tag, args.segment_size, args.threads)
+    return g, _set_payload(args)
 
 
 def _write(args: argparse.Namespace, name: str, content: list[str] | dict) -> None:
@@ -161,7 +164,7 @@ def _write_g_result(args: argparse.Namespace, command: str, g_payload: dict, fie
 
 def cmd_count(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
-    g, _, g_payload = _resolve_g(args, args.x, tag)
+    g, g_payload = _resolve_g(args, args.x, tag)
     value = coincidence_count(args.x, tag, g, args.segment_size, args.threads)
     print(f"E = {value}")
     _write_g_result(args, "count", g_payload, {"E": value, "g": g.to_json_dict()})
@@ -170,10 +173,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_certificate(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
-    g, pset, g_payload = _resolve_g(args, args.x, tag)
-    if pset is None or not pset.members:
+    g, g_payload = _resolve_g(args, args.x, tag)
+    if g.prime_set is None or not g.prime_set.members:
         raise ValueError("certificate requires a nonempty prime set (via --g or set flags)")
-    l_count, checked = certificate_count(args.x, pset, g, tag, args.segment_size, args.threads)
+    l_count, checked = certificate_count(args.x, g, tag, args.segment_size, args.threads)
     print(f"L = {l_count} (witnesses checked: {checked})")
     fields = {"L": l_count, "witnesses_checked": checked, "g": g.to_json_dict()}
     _write_g_result(args, "certificate", g_payload, fields)
@@ -184,12 +187,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
     payload = {"command": "report", "grid": sorted(set(args.grid)), "f": tag, "eps": args.eps}
     if not args.grid:  # no g is built or read, but eps is checked all the same
-        report = growth_report([], args.eps, tag, None, GFunction.identity())
+        report = growth_report([], args.eps, tag, GFunction.identity())
         doc = {"f": tag, "eps": args.eps, "rows": [], "config_hash": config_hash(payload)}
         print("empty grid: wrote header-only report")
     else:
-        g, pset, g_payload = _resolve_g(args, max(args.grid), tag)
-        report = growth_report(args.grid, args.eps, tag, pset, g, args.segment_size, args.threads)
+        g, g_payload = _resolve_g(args, max(args.grid), tag)
+        report = growth_report(args.grid, args.eps, tag, g, args.segment_size, args.threads)
         doc = report_json_dict(report, config_hash({**payload, **g_payload}))
         for row in report.rows:
             print(
@@ -263,7 +266,7 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     checks.append(("restricted-partition", ok, f"coprime total {cc}"))
 
     # Certificate soundness end to end.
-    l_count, checked = certificate_count(x, pset, g, "big_omega", seg, threads)
+    l_count, checked = certificate_count(x, g, "big_omega", seg, threads)
     e_count = coincidence_count(x, "big_omega", g, seg, threads)
     # At least one witness once the smallest member is at most x.
     ok = l_count <= e_count and checked == l_count and (l_count > 0 or pset.members[0] > x)
@@ -399,7 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-check suite; exit 1 on any failure")
     _add_common(p, with_x=False)
-    p.add_argument("--x", type=sweep_bound, default=10_000, help="scale for the checks")
+    p.add_argument("--x", type=positive_bound, default=10_000, help="scale for the checks")
     p.add_argument("--g", default=None, help="also validate this g JSON file")
     p.set_defaults(func=cmd_verify)
 

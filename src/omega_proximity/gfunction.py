@@ -9,18 +9,13 @@ divide n, never on their exponents.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 from .budget import DEFAULT_SEGMENT_SIZE
-from .census import census, mode_k, normalize_f
+from .census import census, mode_k
 from .errors import ScaleError
-from .primeset import PrimeSetS
-from .sieve import is_prime
-
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+from .primeset import PrimeSetS, _is_int
+from .sieve import F_TAGS, is_prime
 
 
 @dataclass(frozen=True)
@@ -40,9 +35,11 @@ class GFunction:
 
     g(n) is the product of table values over the table primes dividing n;
     primes outside the table contribute 1, so the empty table is g == 1.
-    Table primes must be distinct primes below 2**63, values integers >= 0
-    and x None or an integer >= 1; anything else raises ValueError at
-    construction.
+    prime_set is the set g was built over, whose members the certificate
+    takes as witnesses.  f_tag must be one of F_TAGS, table primes distinct
+    primes below 2**63, values integers >= 0, z and residue_class None or
+    integers, fallback a bool, and x None or an integer >= 1; anything else
+    raises ValueError at construction.
     """
 
     x: int | None
@@ -51,6 +48,8 @@ class GFunction:
     entries: tuple[GEntry, ...]
 
     def __post_init__(self) -> None:
+        if self.f_tag not in F_TAGS:
+            raise ValueError(f"g f must be one of {F_TAGS}, got {self.f_tag!r}")
         if self.x is not None and (not _is_int(self.x) or self.x < 1):
             raise ValueError(f"g x must be None or an integer >= 1, got {self.x!r}")
         seen: set[int] = set()
@@ -58,6 +57,11 @@ class GFunction:
             for name, v in (("prime", e.prime), ("value", e.value)):
                 if not _is_int(v):
                     raise ValueError(f"g table {name} must be an integer, got {v!r}")
+            for name, v in (("z", e.z), ("class", e.residue_class)):
+                if v is not None and not _is_int(v):
+                    raise ValueError(f"g table {name} must be None or an integer, got {v!r}")
+            if not isinstance(e.fallback, bool):
+                raise ValueError(f"g table fallback must be a boolean, got {e.fallback!r}")
             if e.prime >= 1 << 63 or not is_prime(e.prime):
                 raise ValueError(f"g table prime {e.prime} is not a prime below 2**63")
             if e.prime in seen:
@@ -105,16 +109,10 @@ class GFunction:
     def from_json_dict(cls, d: dict) -> "GFunction":
         pset = PrimeSetS.from_json_dict(d["set"]) if d.get("set") else None
         entries = tuple(
-            GEntry(
-                prime=row["prime"],
-                value=row["value"],
-                z=None if row.get("z") is None else int(row["z"]),
-                residue_class=None if row.get("class") is None else int(row["class"]),
-                fallback=bool(row.get("fallback", False)),
-            )
+            GEntry(row["prime"], row["value"], row.get("z"), row.get("class"), row.get("fallback", False))
             for row in d["table"]
         )
-        return cls(d.get("x"), pset, normalize_f(d.get("f", "big_omega")), entries)
+        return cls(d.get("x"), pset, d.get("f", "big_omega"), entries)
 
 
 def compute_maximizer(
@@ -131,13 +129,12 @@ def compute_maximizer(
     index is 1-based.  Requires member <= x/2 so the restricted range
     holds more than r = 1; smaller x raises ScaleError.
     """
-    tag = normalize_f(f_tag)
     if not 1 <= index <= len(prime_set.members):
         raise ValueError(f"index must be in 1..{len(prime_set.members)}, got {index}")
     prime = prime_set.members[index - 1]
     if 2 * prime > x:
         raise ScaleError(f"member {prime} needs x >= {2 * prime}, got x = {x}")
-    return mode_k(census(x // prime, tag, restrict=prime_set, segment_size=segment_size, threads=threads))
+    return mode_k(census(x // prime, f_tag, restrict=prime_set, segment_size=segment_size, threads=threads))
 
 
 def build_g(
@@ -163,13 +160,12 @@ def build_g(
     """
     if x < 1:
         raise ValueError(f"build_g requires x >= 1, got {x}")
-    tag = normalize_f(f_tag)
     entries: list[GEntry] = []
     for index, (prime, residue) in enumerate(zip(prime_set.members, prime_set.classes), 1):
-        if 2 * prime > x or (tag == "big_omega" and prime == 2):
+        if 2 * prime > x or (f_tag == "big_omega" and prime == 2):
             entries.append(GEntry(prime, 1, None, residue, True))
             continue
-        level, _ = compute_maximizer(x, prime_set, index, tag, segment_size, threads)
-        z = level + (1 if tag == "omega" else 2 if residue == 1 else 0)
+        level, _ = compute_maximizer(x, prime_set, index, f_tag, segment_size, threads)
+        z = level + (1 if f_tag == "omega" else 2 if residue == 1 else 0)
         entries.append(GEntry(prime, level + 1, z, residue, False))
-    return GFunction(x, prime_set, tag, tuple(entries))
+    return GFunction(x, prime_set, f_tag, tuple(entries))

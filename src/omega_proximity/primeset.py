@@ -9,12 +9,17 @@ by inclusion-exclusion, the independent check on that census.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .sieve import is_prime, next_prime
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,8 @@ class PrimeSetS:
 
     def __post_init__(self) -> None:
         for i, m in enumerate(self.members):
+            if not _is_int(m):
+                raise ValueError(f"set member {m!r} is not an integer")
             if not is_prime(m):
                 raise ValueError(f"set member {m} is not prime")
             if i and m <= self.members[i - 1]:
@@ -43,16 +50,6 @@ class PrimeSetS:
         """members[i] mod 4 (1 or 3); the member 2 carries None and is
         excluded from the per-class reciprocal sums."""
         return tuple(None if m == 2 else m % 4 for m in self.members)
-
-    @classmethod
-    def from_members(
-        cls,
-        members: Iterable[int],
-        kind: str = "custom",
-        delta: float | None = None,
-        exponent: float | None = None,
-    ) -> "PrimeSetS":
-        return cls(tuple(int(m) for m in members), kind, delta, exponent)
 
     def to_json_dict(self) -> dict:
         r1, r3 = reciprocal_sums(self)
@@ -69,12 +66,7 @@ class PrimeSetS:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PrimeSetS":
-        return cls.from_members(
-            d["members"],
-            kind=d.get("kind", "custom"),
-            delta=d.get("delta"),
-            exponent=d.get("exponent"),
-        )
+        return cls(tuple(d["members"]), d.get("kind", "custom"), d.get("delta"), d.get("exponent"))
 
 
 def _grow(members: list[int], thresholds: Iterable[float]) -> list[int]:
@@ -96,7 +88,7 @@ def threshold_prime_set(delta: float, count: int) -> PrimeSetS:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     members = _grow([2], (j ** (1.0 + delta) for j in range(2, count + 1)))
-    return PrimeSetS.from_members(members, kind="paper", delta=float(delta))
+    return PrimeSetS(tuple(members), kind="paper", delta=float(delta))
 
 
 def power_prime_set(exponent: float, count: int) -> PrimeSetS:
@@ -111,7 +103,7 @@ def power_prime_set(exponent: float, count: int) -> PrimeSetS:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     members = _grow([], (max(float(j) ** float(exponent), 2.0) for j in range(1, count + 1)))
-    return PrimeSetS.from_members(members, kind="power", exponent=float(exponent))
+    return PrimeSetS(tuple(members), kind="power", exponent=float(exponent))
 
 
 def reciprocal_sums(s: PrimeSetS) -> tuple[float, float]:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
-from .census import LevelSnapshots, normalize_f
+from .census import LevelSnapshots
 from .errors import CertificateError
 from .gfunction import GFunction
-from .primeset import PrimeSetS
 from .sieve import LEVEL_CEILING, FactorCensus, iter_factor_segments, prime_power_level, primes_up_to
 
 
@@ -39,7 +38,6 @@ class ProximityReport:
 
     f_tag: str
     eps: float
-    prime_set: PrimeSetS | None
     g: GFunction
     rows: tuple[ReportRow, ...]
 
@@ -100,22 +98,20 @@ def coincidence_count(
         raise ValueError(f"coincidence_count requires x >= 0, got {x}")
     if x == 0:
         return 0
-    tag = normalize_f(f_tag)
     g2 = min(g.table.get(2, 1), LEVEL_CEILING)
     total = 0
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads, f_tag, 2):
         f = seg.f
         gv = _g_segment_values(g, seg.lo, seg.hi, 2)
         total += int(np.count_nonzero(gv == f))
         gv *= g2  # g(2**b m), b >= 1: at most 64 * 64, and 64 and up match no f(n)
         gv -= f  # wraps below zero to values no level reaches
-        total += _even_matches(gv, seg, x, tag)
+        total += _even_matches(gv, seg, x, f_tag)
     return total
 
 
 def certificate_count(
     x: int,
-    prime_set: PrimeSetS,
     g: GFunction,
     f_tag: str = "big_omega",
     segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -123,12 +119,12 @@ def certificate_count(
 ) -> tuple[int, int]:
     """Certified lower bound for coincidence_count(x, f, g), counted two ways.
 
-    The witnesses are n = r * p**a for each member p <= x and exponent
-    a >= 1, where r <= x // p**a is coprime to every member and sits at the
-    level that forces f(n) = g(n): big_omega(r) = g(p) - a for f =
-    big_omega, omega(r) = g(p) - 1 for f = omega.  Distinct (p, a, r) give
-    distinct n because r carries no member prime, so the families are
-    disjoint and the total is a true lower bound.
+    The witnesses are n = r * p**a for each member p <= x of g.prime_set
+    (none without a set) and exponent a >= 1, where r <= x // p**a is
+    coprime to every member and sits at the level that forces f(n) = g(n):
+    big_omega(r) = g(p) - a for f = big_omega, omega(r) = g(p) - 1 for f =
+    omega.  Distinct (p, a, r) give distinct n because r carries no member
+    prime, so the families are disjoint and the total is a true lower bound.
 
     One sweep of the odd m <= x.  The r route reads a histogram of the odd m
     no member divides at each x // p**a, lifted to every r unless 2 is a
@@ -138,8 +134,7 @@ def certificate_count(
     (with the odd segment [lo, hi) of its m) or routes that disagree raise
     CertificateError.
     """
-    tag = normalize_f(f_tag)
-    members = [p for p in prime_set.members if p <= x]
+    members = [p for p in g.prime_set.members if p <= x] if g.prime_set else []
     if not members:
         return 0, 0
     table = g.table
@@ -155,13 +150,14 @@ def certificate_count(
     for p in members:
         power, a = p, 1
         while power <= x:
-            target = table[p] - prime_power_level(a, tag)
+            target = table[p] - prime_power_level(a, f_tag)
             if 0 <= target < LEVEL_CEILING:
                 families.append((x // power, target))
             power, a = power * p, a + 1
-    hists = LevelSnapshots({y for y, _ in families}, tag, has2)
+    segments = iter_factor_segments(1, x + 1, segment_size, threads, f_tag, 2)  # checks the tag first
+    hists = LevelSnapshots({y for y, _ in families}, f_tag, has2)
     found = confirmed = 0
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads, tag, 2):
+    for seg in segments:
         f = seg.f
         marks = np.zeros(len(f), dtype=np.uint16)  # 256 + capped g(p) per odd member p | m
         for p, mark in odd_marks:
@@ -181,14 +177,14 @@ def certificate_count(
         confirmed += int(np.count_nonzero(witness))
         if has2:
             marks += 256 + g2
-        found += _even_matches(marks, seg, x, tag)
+        found += _even_matches(marks, seg, x, f_tag)
         gv *= g2  # g(2**b m) - f(m) at b >= 1, as in coincidence_count
         gv -= f
         gv ^= marks  # 0 where g(n) agrees; move the other entries past every level
         np.minimum(gv, 1, out=gv)
         gv <<= 8
         marks |= gv
-        confirmed += _even_matches(marks, seg, x, tag)
+        confirmed += _even_matches(marks, seg, x, f_tag)
         if confirmed != found:
             raise CertificateError(f"certificate witness failed in [{seg.lo}, {seg.hi})")
         del marks, gv  # 4 B per entry, freed before the next segment is sieved
@@ -203,7 +199,6 @@ def growth_report(
     x_grid: list[int],
     eps: float,
     f_tag: str,
-    prime_set: PrimeSetS | None,
     g: GFunction,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
@@ -212,26 +207,23 @@ def growth_report(
 
     ratio_e = E * (log log x)**(1/2 + eps) / x, and likewise ratio_l; a
     ratio that stays bounded away from zero as x grows is the empirical
-    signature the construction aims for.  g stays fixed across the grid.
+    signature the construction aims for.  g stays fixed across the grid,
+    and L counts the witnesses over g.prime_set (0 without one).
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    tag = normalize_f(f_tag)
     grid = sorted({int(v) for v in x_grid})
     for v in grid:
         if v < 16:
             raise ValueError(f"grid values must be >= 16, got {v}")
     rows = []
     for x in grid:
-        e_count = coincidence_count(x, tag, g, segment_size, threads)
-        if prime_set is not None and prime_set.members:
-            l_count, _ = certificate_count(x, prime_set, g, tag, segment_size, threads)
-        else:
-            l_count = 0
+        e_count = coincidence_count(x, f_tag, g, segment_size, threads)
+        l_count, _ = certificate_count(x, g, f_tag, segment_size, threads)
         loglogx = math.log(math.log(x))
         scale = loglogx ** (0.5 + eps) / x
         rows.append(ReportRow(x, e_count, l_count, loglogx, e_count * scale, l_count * scale))
-    return ProximityReport(tag, eps, prime_set, g, tuple(rows))
+    return ProximityReport(f_tag, eps, g, tuple(rows))
 
 
 def report_csv_lines(report: ProximityReport) -> list[str]:
@@ -248,7 +240,7 @@ def report_json_dict(report: ProximityReport, config_hash: str) -> dict:
     return {
         "f": report.f_tag,
         "eps": report.eps,
-        "set": report.prime_set.to_json_dict() if report.prime_set else None,
+        "set": report.g.prime_set.to_json_dict() if report.g.prime_set else None,
         "g": report.g.to_json_dict(),
         "rows": [
             {
@@ -287,8 +279,7 @@ def phi_diagnostics(
     """
     if x < 2:
         raise ValueError(f"phi_diagnostics requires x >= 2, got {x}")
-    tag = normalize_f(f_tag)
-    segments = iter_factor_segments(1, x + 1, segment_size, threads, tag, 2)  # checks x first
+    segments = iter_factor_segments(1, x + 1, segment_size, threads, f_tag, 2)  # checks x first
     cap = int(1.25506 * x / math.log(x)) + 1
     require_budget(8 * cap + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
     roots = primes_up_to(max(2, math.isqrt(x))).primes.tolist()
@@ -297,7 +288,7 @@ def phi_diagnostics(
     odd_powers = np.sort(np.array([q for p, _, q in powers if p > 2], dtype=np.int64))
     recips = np.empty(cap, dtype=np.float64)  # unwritten pages are never faulted in
     recips[0], k = 0.5, 1  # the one even prime
-    hists = LevelSnapshots([x], tag, False)
+    hists = LevelSnapshots([x], f_tag, False)
     for seg in segments:
         f = seg.f
         hists.add(seg, f)
@@ -315,11 +306,11 @@ def phi_diagnostics(
     np.subtract(1.0, recips, out=recips)
     a_sum = float(np.sum(recips))
     for p, a, power in powers:
-        fv = prime_power_level(a, tag)
+        fv = prime_power_level(a, f_tag)
         a_sum += fv * (1.0 - 1.0 / p)
         b_sum += (fv * fv) / power
     max_count = int(hists.at(x).max())
-    return PhiDiagnostics(x, tag, a_sum, b_sum, b_sum / a_sum, max_count, x / max_count)
+    return PhiDiagnostics(x, f_tag, a_sum, b_sum, b_sum / a_sum, max_count, x / max_count)
 
 
 def phi_json_dict(d: PhiDiagnostics, config_hash: str) -> dict:

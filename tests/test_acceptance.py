@@ -66,8 +66,8 @@ def g_at_top(power_set_5):
 
 
 @pytest.fixture(scope="module")
-def full_report(power_set_5, g_at_top):
-    return growth_report(list(GRID), 0.1, "big_omega", power_set_5, g_at_top)
+def full_report(g_at_top):
+    return growth_report(list(GRID), 0.1, "big_omega", g_at_top)
 
 
 def test_c01_sieve_matches_trial_division_to_1e5():
@@ -226,13 +226,13 @@ def test_c06_pigeonhole_window(omega_census_by_x):
     assert ok
 
 
-def test_c07_certificate_soundness(power_set_5, g_per_x):
+def test_c07_certificate_soundness(g_per_x):
     start = time.monotonic()
     details = []
     ok = True
     for x in GRID[:3]:
         g = g_per_x[x]
-        l_count, checked = certificate_count(x, power_set_5, g)
+        l_count, checked = certificate_count(x, g)
         e_count = coincidence_count(x, "big_omega", g)
         ok = ok and l_count <= e_count and checked == l_count
         details.append(f"x={x:.0e} L={l_count} E={e_count} witnesses={checked}")

@@ -21,7 +21,6 @@ from omega_proximity.census import (
     interval_from_center,
     levels_in_interval,
     mode_k,
-    normalize_f,
 )
 from omega_proximity.primeset import (
     PrimeSetS,
@@ -32,14 +31,6 @@ from omega_proximity.primeset import (
 from omega_proximity.proximity import phi_diagnostics
 
 from oracles import census_slow, concentration_tail_slow, mode_slow
-
-
-def test_normalize_f():
-    assert normalize_f("omega") == "omega"
-    assert normalize_f("bigomega") == "big_omega"
-    assert normalize_f("big_omega") == "big_omega"
-    with pytest.raises(ValueError):
-        normalize_f("mu")
 
 
 def test_census_100_omega():
@@ -156,7 +147,7 @@ def test_census_matches_slow_oracle_on_random_sets(x, tag, members):
     # Each x >> a is a cutoff of the lift; at 2**k - 1, 2**k and 2**k + 1
     # they fall at the ends of the odd sweep and of its segments.
     want = census_slow(x, tag, members)
-    restrict = PrimeSetS.from_members(members) if members else None
+    restrict = PrimeSetS(tuple(members)) if members else None
     for segment_size in (64, 1000, 1 << 20):
         for threads in (1, 2):
             got = census(x, tag, restrict, segment_size, threads)
@@ -196,7 +187,7 @@ def test_level_snapshots_match_slow_census_at_every_cutoff(ys, past, tag, member
 @settings(max_examples=20, deadline=None)
 @given(x=st.integers(1, 100_000), members=_prime_sets(), segment_size=st.sampled_from([1000, 1 << 20]))
 def test_restricted_total_matches_inclusion_exclusion(x, members, segment_size):
-    restrict = PrimeSetS.from_members(members)
+    restrict = PrimeSetS(tuple(members))
     for tag in ("omega", "big_omega"):
         total = census(x, tag, restrict, segment_size).total()
         assert total == coprime_count_inclusion_exclusion(x, members), tag

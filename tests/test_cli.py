@@ -194,6 +194,15 @@ def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", ["0", "-1"])
+def test_verify_x_below_one_exit_2(tmp_path, capsys, x):
+    # Refused while parsing, naming the flag, not by the sieve's range check.
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--x", x], tmp_path)
+    assert exc.value.code == 2
+    assert "--x" in capsys.readouterr().err
+
+
 def test_count_rejects_invalid_g_table(tmp_path, capsys):
     g_path = tmp_path / "bad_g.json"
     g_path.write_text(json.dumps({"f": "big_omega", "table": [
@@ -266,12 +275,17 @@ def test_malformed_g_file_exit_2(tmp_path, capsys, doc, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("x", [1000.0, "1000", True], ids=["float", "str", "bool"])
-def test_g_file_x_must_be_an_integer(tmp_path, capsys, x):
+def _assert_g_file_refused(tmp_path, capsys, path, value):
+    """construct's g.json with value at the keys in path fails count with one
+    error line and no file, and fails verify's g-file check."""
     assert run(["construct", "--x", "2000"], tmp_path) == 0
     doc = json.loads((tmp_path / "g.json").read_text())
-    doc["x"] = x
-    g_path = tmp_path / "g_bad_x.json"
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    g_path = tmp_path / "g_bad.json"
     g_path.write_text(json.dumps(doc))
     capsys.readouterr()
     out = tmp_path / "out"
@@ -284,6 +298,24 @@ def test_g_file_x_must_be_an_integer(tmp_path, capsys, x):
     captured = capsys.readouterr()
     assert "[FAIL] g-file-integrity: unreadable or inconsistent" in captured.out
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("x", [1000.0, "1000", True], ids=["float", "str", "bool"])
+def test_g_file_x_must_be_an_integer(tmp_path, capsys, x):
+    _assert_g_file_refused(tmp_path, capsys, ["x"], x)
+
+
+@pytest.mark.parametrize("path, value", [
+    (["set", "members", 0], 3.0),
+    (["set", "members", -1], "29"),
+    (["table", 0, "z"], 2.7),
+    (["table", 0, "class"], "3"),
+    (["table", 0, "fallback"], "false"),
+    (["f"], "bigomega"),
+], ids=["member-float", "member-str", "z-float", "class-str", "fallback-str", "f-alias"])
+def test_g_file_fields_are_read_without_coercion(tmp_path, capsys, path, value):
+    # No field is coerced: 3.0 is not the member 3, nor "false" the boolean false.
+    _assert_g_file_refused(tmp_path, capsys, path, value)
 
 
 @pytest.mark.parametrize("command", [

@@ -15,7 +15,7 @@ from oracles import eval_g_slow, maximizer_slow
 
 
 def test_maximizer_single_member():
-    s = PrimeSetS.from_members([3])
+    s = PrimeSetS((3,))
     pair = compute_maximizer(100, s, 1, "big_omega")
     assert pair == (1, 10)
     assert pair == maximizer_slow(100, [3], 1, "big_omega")
@@ -37,13 +37,13 @@ def test_maximizer_is_maximal(power_set_5):
 
 
 def test_maximizer_frozen_value():
-    s = PrimeSetS.from_members([5])
+    s = PrimeSetS((5,))
     assert compute_maximizer(10_000, s, 1, "big_omega") == (2, 499)
     assert maximizer_slow(10_000, [5], 1, "big_omega") == (2, 499)
 
 
 def test_maximizer_scale_error():
-    s = PrimeSetS.from_members([53])
+    s = PrimeSetS((53,))
     with pytest.raises(ScaleError):
         compute_maximizer(100, s, 1, "big_omega")
     with pytest.raises(ValueError):
@@ -63,7 +63,7 @@ def test_build_g_big_omega_power_set(power_set_5):
 
 
 def test_build_g_omega_mode():
-    s = PrimeSetS.from_members([2])
+    s = PrimeSetS((2,))
     g = build_g(1618, s, "omega")
     assert g.table == {2: 3}
     assert g.entries[0].z == 3
@@ -80,7 +80,7 @@ def test_build_g_member_two_is_neutral_under_big_omega():
 
 
 def test_build_g_fallback_for_large_members():
-    s = PrimeSetS.from_members([3, 61])
+    s = PrimeSetS((3, 61))
     g = build_g(100, s, "big_omega")
     by_prime = {e.prime: e for e in g.entries}
     assert by_prime[61].value == 1
@@ -113,11 +113,17 @@ def test_value_by_divisibility():
         [{"prime": 3.0, "value": 2}],
         [{"prime": 3, "value": "2"}],
         [{"prime": 3, "value": True}],
+        [{"prime": 3, "value": 2, "z": 2.7}],
+        [{"prime": 3, "value": 2, "class": "3"}],
+        [{"prime": 3, "value": 2, "fallback": "false"}],
+        # A whole document, whose fault is outside the table: tags have one spelling.
+        {"f": "bigomega", "table": [{"prime": 3, "value": 2}]},
     ],
 )
 def test_table_validation_rejects_bad_rows(rows):
+    doc = rows if isinstance(rows, dict) else {"f": "big_omega", "table": rows}
     with pytest.raises(ValueError):
-        GFunction.from_json_dict({"f": "big_omega", "table": rows})
+        GFunction.from_json_dict(doc)
 
 
 def test_table_validation_accepts_edge_values():

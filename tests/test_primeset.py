@@ -53,36 +53,28 @@ def test_builders_emit_increasing_primes():
         assert all(a < b for a, b in zip(s.members, s.members[1:]))
 
 
-def test_from_members_validation():
-    with pytest.raises(ValueError):
-        PrimeSetS.from_members([3, 4])
-    with pytest.raises(ValueError):
-        PrimeSetS.from_members([5, 3])
-    with pytest.raises(ValueError):
-        PrimeSetS.from_members([3, 2])
-    s = PrimeSetS.from_members([2, 13])
-    assert s.classes == (None, 1)
-
-
 def test_direct_construction_validates_members():
     # The member checks run on construction, so no route builds an invalid
-    # set; 2 after another member fails as not strictly increasing.
-    for members in ((4,), (5, 3), (3, 3), (3, 2)):
+    # set; 2 after another member fails as not strictly increasing, and a
+    # member that is not an integer is refused rather than rounded.
+    for members in ((4,), (5, 3), (3, 3), (3, 2), (3.0,), ("7",), (True,)):
         with pytest.raises(ValueError):
             PrimeSetS(members)
+    with pytest.raises(ValueError, match="integer"):
+        PrimeSetS.from_json_dict({"members": [3.9, 5.2, "7"]})
     assert PrimeSetS((2, 13)).classes == (None, 1)
 
 
 def test_reciprocal_sums_split_by_class():
-    s = PrimeSetS.from_members([3, 5, 7])
+    s = PrimeSetS((3, 5, 7))
     r1, r3 = reciprocal_sums(s)
     assert math.isclose(r1, 1 / 5, rel_tol=1e-12)
     assert math.isclose(r3, 1 / 3 + 1 / 7, rel_tol=1e-12)
 
 
 def test_reciprocal_sums_skip_member_two():
-    with2 = PrimeSetS.from_members([2, 3, 5])
-    without2 = PrimeSetS.from_members([3, 5])
+    with2 = PrimeSetS((2, 3, 5))
+    without2 = PrimeSetS((3, 5))
     assert reciprocal_sums(with2) == reciprocal_sums(without2)
 
 
@@ -118,7 +110,7 @@ def test_coprime_count_dual_route_exact():
         list(threshold_prime_set(0.5, 9).members),
     ]
     for members in sets:
-        restrict = PrimeSetS.from_members(members)
+        restrict = PrimeSetS(tuple(members))
         for y in (1, 97, 5000, 100_000):
             marked = census(y, "omega", restrict=restrict).total()
             assert marked == coprime_count_inclusion_exclusion(y, members), (members, y)

@@ -24,8 +24,9 @@ from omega_proximity.proximity import (
 from oracles import certificate_count_slow, certificate_fails_slow, coincidence_count_slow, phi_slow
 
 
-def _table_g(table):
-    return GFunction(None, None, "big_omega", tuple(GEntry(p, v, None, None, False) for p, v in table.items()))
+def _table_g(table, members=()):
+    entries = tuple(GEntry(p, v, None, None, False) for p, v in table.items())
+    return GFunction(None, PrimeSetS(tuple(members)), "big_omega", entries)
 
 
 def test_identity_counts_primes():
@@ -47,11 +48,11 @@ def test_count_matches_slow_oracle(power_set_5):
 def test_count_saturates_huge_table_values(big):
     # 2**62 + 1 times 4 used to wrap around in int64 and fake matches.
     table = {3: big, 5: 4}
-    g = _table_g(table)
+    g = _table_g(table, (3, 5))
     for tag in ("omega", "big_omega"):
         assert coincidence_count(1000, tag, g) == coincidence_count_slow(1000, tag, table)
     assert coincidence_count(1000, "big_omega", g) == 191
-    l_count, checked = certificate_count(1000, PrimeSetS.from_members([3, 5]), g)
+    l_count, checked = certificate_count(1000, g)
     assert l_count == checked <= 191
 
 
@@ -88,22 +89,21 @@ def _sets_and_tables(draw):
 @example(case=([3], {3: 34}), x=100, f_tag="big_omega", segment_size=64, threads=1)
 def test_certificate_matches_slow_oracle(case, x, f_tag, segment_size, threads):
     members, table = case
-    g = _table_g(table)
-    pset = PrimeSetS.from_members(members)
+    g = _table_g(table, members)
     if certificate_fails_slow(x, members, table, f_tag):
         with pytest.raises(CertificateError, match="certificate witness failed"):
-            certificate_count(x, pset, g, f_tag, segment_size, threads)
+            certificate_count(x, g, f_tag, segment_size, threads)
     else:
         want = certificate_count_slow(x, members, table, f_tag)
-        assert certificate_count(x, pset, g, f_tag, segment_size, threads) == (want, want)
+        assert certificate_count(x, g, f_tag, segment_size, threads) == (want, want)
     assert coincidence_count(x, f_tag, g, segment_size, threads) == coincidence_count_slow(x, f_tag, table)
 
 
 def test_certificate_rejects_table_prime_outside_set():
     # Witnesses r * 3**a with 7 | r have g(n) = 4 != big_omega(n).
-    g = _table_g({3: 2, 5: 3, 7: 2})
+    g = _table_g({3: 2, 5: 3, 7: 2}, (3, 5))
     with pytest.raises(RuntimeError):
-        certificate_count(1000, PrimeSetS.from_members([3, 5]), g)
+        certificate_count(1000, g)
 
 
 def test_certificate_memory_is_per_segment(power_set_5):
@@ -111,7 +111,7 @@ def test_certificate_memory_is_per_segment(power_set_5):
     g = build_g(2_000_000, power_set_5, "big_omega")
     tracemalloc.start()
     try:
-        certificate_count(2_000_000, power_set_5, g, segment_size=1 << 16)
+        certificate_count(2_000_000, g, segment_size=1 << 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -133,7 +133,7 @@ def test_count_segment_and_thread_independence(power_set_5):
 
 def test_certificate_frozen_at_1e4(power_set_5):
     g = build_g(10_000, power_set_5, "big_omega")
-    l_count, checked = certificate_count(10_000, power_set_5, g)
+    l_count, checked = certificate_count(10_000, g)
     assert (l_count, checked) == (1301, 1301)
     assert coincidence_count(10_000, "big_omega", g) == 2728
     assert l_count <= 2728
@@ -141,7 +141,7 @@ def test_certificate_frozen_at_1e4(power_set_5):
 
 def test_certificate_sound_in_omega_mode(power_set_5):
     g = build_g(2000, power_set_5, "omega")
-    l_count, checked = certificate_count(2000, power_set_5, g, "omega")
+    l_count, checked = certificate_count(2000, g, "omega")
     e_count = coincidence_count(2000, "omega", g)
     assert 0 < l_count <= e_count
     assert checked == l_count
@@ -149,17 +149,17 @@ def test_certificate_sound_in_omega_mode(power_set_5):
 
 def test_certificate_no_member_in_range(power_set_5):
     g = build_g(10_000, power_set_5, "big_omega")
-    assert certificate_count(2, power_set_5, g) == (0, 0)
+    assert certificate_count(2, g) == (0, 0)
 
 
 def test_certificate_requires_table_values(power_set_5):
     with pytest.raises(ValueError):
-        certificate_count(100, power_set_5, GFunction.identity())
+        certificate_count(100, GFunction(None, power_set_5, "big_omega", ()))
 
 
 def test_growth_report_shape(power_set_5):
     g = build_g(10_000, power_set_5, "big_omega")
-    rep = growth_report([10_000, 100, 10_000], 0.1, "big_omega", power_set_5, g)
+    rep = growth_report([10_000, 100, 10_000], 0.1, "big_omega", g)
     assert [r.x for r in rep.rows] == [100, 10_000]
     row = rep.rows[1]
     assert row.e_count == 2728
@@ -171,7 +171,7 @@ def test_growth_report_shape(power_set_5):
 
 
 def test_growth_report_without_set():
-    rep = growth_report([100], 0.1, "big_omega", None, GFunction.identity())
+    rep = growth_report([100], 0.1, "big_omega", GFunction.identity())
     assert rep.rows[0].e_count == 25
     assert rep.rows[0].l_count == 0
     assert rep.rows[0].ratio_l == 0.0
@@ -180,14 +180,14 @@ def test_growth_report_without_set():
 def test_growth_report_validation(power_set_5):
     g = build_g(10_000, power_set_5, "big_omega")
     with pytest.raises(ValueError):
-        growth_report([100], 0.0, "big_omega", power_set_5, g)
+        growth_report([100], 0.0, "big_omega", g)
     with pytest.raises(ValueError):
-        growth_report([15], 0.1, "big_omega", power_set_5, g)
+        growth_report([15], 0.1, "big_omega", g)
 
 
 def test_report_csv_format(power_set_5):
     g = build_g(10_000, power_set_5, "big_omega")
-    rep = growth_report([100], 0.25, "big_omega", power_set_5, g)
+    rep = growth_report([100], 0.25, "big_omega", g)
     lines = report_csv_lines(rep)
     assert lines[0] == "x,f,E,L,loglogx,eps,ratio_E,ratio_L"
     cells = lines[1].split(",")
@@ -200,7 +200,7 @@ def test_report_csv_format(power_set_5):
 
 def test_report_json_payload(power_set_5):
     g = build_g(10_000, power_set_5, "big_omega")
-    rep = growth_report([100], 0.1, "big_omega", power_set_5, g)
+    rep = growth_report([100], 0.1, "big_omega", g)
     d = report_json_dict(rep, "deadbeef")
     assert d["config_hash"] == "deadbeef"
     assert d["set"]["members"] == [3, 5, 11, 17, 29]
@@ -274,8 +274,8 @@ def test_phi_json_payload():
 
 def test_certificate_witnesses_are_disjoint_families():
     # two members whose witness families must not collide
-    s = PrimeSetS.from_members([3, 5])
+    s = PrimeSetS((3, 5))
     g = build_g(500, s, "big_omega")
-    l_count, checked = certificate_count(500, s, g)
+    l_count, checked = certificate_count(500, g)
     e_count = coincidence_count(500, "big_omega", g)
     assert checked == l_count <= e_count
