@@ -10,6 +10,7 @@ domain error, 3 capacity (memory budget) error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import hashlib
 import json
 import math
@@ -47,7 +48,7 @@ from .proximity import (
     report_csv_lines,
     report_json_dict,
 )
-from .sieve import F_TAGS, LEVEL_CEILING, MAX_X, factorize, iter_factor_segments
+from .sieve import F_TAGS, LEVEL_CEILING, MAX_X, factorize, iter_factor_segments, prime_pi
 
 F_FLAG = {"omega": "omega", "bigomega": "big_omega"}
 DEFAULT_GRID = "10000,100000,1000000,10000000"
@@ -237,6 +238,14 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     t_big = census(x, "big_omega", segment_size=seg, threads=threads)
     ok = t_omega.total() == x and t_big.total() == x
     checks.append(("census-partition", ok, f"totals at x={x}"))
+
+    # Level 1 against the prime count, which sweeps nothing: the primes for big_omega, and
+    # for omega the prime powers p**a, p <= floor(x**(1/a)) = the largest r with r**a <= x.
+    roots = [bisect.bisect(range(x + 1), x, key=lambda r: r**a) - 1 for a in range(2, x.bit_length())]
+    pi = prime_pi(x)
+    powers = pi + sum(prime_pi(r) for r in roots)
+    ok = t_big.get(1) == pi and t_omega.get(1) == powers
+    checks.append(("prime-count", ok, f"pi(x) = {pi}, prime powers {powers} at x={x}"))
 
     # Odd sweeps lifted to every n match one full sweep per tag: census, and E for g(2) = 1, 2.
     pset = power_prime_set(2.0, 5)

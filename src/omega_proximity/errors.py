@@ -6,7 +6,8 @@ class CapacityError(RuntimeError):
 
 
 class CertificateError(RuntimeError):
-    """A certificate witness failed its check or the two counting routes disagree."""
+    """A computed count failed its independent check: a certificate witness,
+    the certificate's two counting routes, or phi's primes against pi(x)."""
 
 
 class ScaleError(ValueError):

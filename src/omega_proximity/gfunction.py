@@ -37,9 +37,10 @@ class GFunction:
     primes outside the table contribute 1, so the empty table is g == 1.
     prime_set is the set g was built over, whose members the certificate
     takes as witnesses.  f_tag must be one of F_TAGS, table primes distinct
-    primes below 2**63, values integers >= 0, z and residue_class None or
-    integers, fallback a bool, and x None or an integer >= 1; anything else
-    raises ValueError at construction.
+    primes below 2**63, values integers >= 0, residue_class None or p mod 4
+    (None for 2), z None or build_g's z for the value, fallback a bool (a
+    fallback row has value 1 and z None), and x None or an integer >= 1;
+    anything else raises ValueError at construction.
     """
 
     x: int | None
@@ -69,6 +70,11 @@ class GFunction:
             seen.add(e.prime)
             if e.value < 0:
                 raise ValueError(f"g table value at {e.prime} must be >= 0, got {e.value}")
+            # The prime's class, and the z build_g gives the value; a fallback row is valued 1.
+            z = e.value + (0 if self.f_tag == "omega" else 1 if e.prime % 4 == 1 else -1)
+            if (e.residue_class not in (None, None if e.prime == 2 else e.prime % 4)
+                    or e.z not in (None, None if e.fallback else z) or e.fallback and e.value != 1):
+                raise ValueError(f"g table row {e} contradicts its prime or value")
 
     @property
     def table(self) -> dict[int, int]:

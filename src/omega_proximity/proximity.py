@@ -19,7 +19,9 @@ from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
 from .census import LevelSnapshots
 from .errors import CertificateError
 from .gfunction import GFunction
-from .sieve import LEVEL_CEILING, FactorCensus, iter_factor_segments, prime_power_level, primes_up_to
+from .sieve import (
+    LEVEL_CEILING, FactorCensus, iter_factor_segments, prime_pi, prime_power_level, primes_up_to,
+)
 
 
 @dataclass(frozen=True)
@@ -257,6 +259,54 @@ def report_json_dict(report: ProximityReport, config_hash: str) -> dict:
     }
 
 
+class _PairwiseSum:
+    """np.sum over n float64 values v and over 1 - v, bit for bit, from v fed
+    in ascending chunks, keeping one sum per leaf of numpy's summation tree:
+    numpy sums m > 128 values as the sum of the first floor(m/2), rounded down
+    to a multiple of 8, plus the sum of the rest, and m <= 128 in one leaf,
+    which a row sum over those m values reproduces.  Every leaf of an n > 128
+    holds at least 64 values.
+    """
+
+    def __init__(self, n: int) -> None:
+        lens, self.splits = np.array([n]), []  # per level, in array order, the nodes that split
+        while (split := lens > 128).any():
+            self.splits.append(split)
+            half = lens[split] // 2 & -8
+            right = np.cumsum(split + 1)[split] - 1  # where each split node's right half lands
+            lens = np.repeat(lens, split + 1)
+            lens[right - 1] = half
+            lens[right] -= half
+        self.ends, self.lens = np.cumsum(lens), lens.astype(np.uint8)  # the leaves in array order
+        self.sizes = np.flatnonzero(np.bincount(lens)).tolist()  # the distinct leaf lengths
+        self.sums = np.empty((2, len(lens)))
+        self.fed = self.done = 0
+        self.carry = np.empty(0)  # the values of leaves not yet whole
+
+    def add(self, values: np.ndarray) -> None:
+        buf = np.concatenate((self.carry, values))
+        base = self.fed - len(self.carry)  # position of buf[0]
+        self.fed += len(values)
+        stop = int(np.searchsorted(self.ends, self.fed, "right"))  # leaves done..stop are whole
+        lens = self.lens[self.done : stop]
+        starts = self.ends[self.done : stop] - lens - base
+        for m in self.sizes:
+            pick = np.flatnonzero(lens == m)
+            if len(pick):  # the leaves of m values, one per row
+                rows = np.lib.stride_tricks.sliding_window_view(buf, m)[starts[pick]]
+                self.sums[0, self.done + pick] = rows.sum(axis=1)
+                self.sums[1, self.done + pick] = np.subtract(1.0, rows, out=rows).sum(axis=1)
+        self.carry = buf[self.ends[stop - 1] - base if stop else 0 :].copy()
+        self.done = stop
+
+    def totals(self) -> tuple[float, float]:
+        """(sum of v, sum of 1 - v) once all n values are in, level by level up the tree."""
+        v = self.sums
+        for split in reversed(self.splits):
+            v = np.add.reduceat(v, np.cumsum(split + 1) - (split + 1), axis=1)
+        return float(v[0, 0]), float(v[1, 0])
+
+
 def phi_diagnostics(
     x: int,
     f_tag: str,
@@ -270,24 +320,28 @@ def phi_diagnostics(
     vanishing share of the integers.
 
     One sweep of the odd n <= x fills a level histogram, lifted to 1..x by
-    census.LevelSnapshots, and writes 1/p for each prime (2, then each odd
-    n with f(n) == 1 that is no prime power p**a, a >= 2, listed first) into
-    a buffer sized by pi(x) < 1.25506 x / ln x (Rosser-Schoenfeld), ascending
-    whatever the segments or threads.  The exponent-1 terms are np.sum over
-    it: the pairwise summation tree depends only on the length, so the floats
-    match a prime table's; math.fsum would round, and print A and B, otherwise.
+    census.LevelSnapshots, and streams 1/p for each prime (2, then each odd
+    n with f(n) == 1 that is no prime power p**a, a >= 2, listed first),
+    ascending whatever the segments or threads, into the leaves of np.sum's
+    tree over n = prime_pi(x) values: A and B match a prime table's floats
+    with no such table held; math.fsum would round, and print them, otherwise.
+    A sweep that finds other than n primes raises CertificateError.
     """
     if x < 2:
         raise ValueError(f"phi_diagnostics requires x >= 2, got {x}")
     segments = iter_factor_segments(1, x + 1, segment_size, threads, f_tag, 2)  # checks x first
-    cap = int(1.25506 * x / math.log(x)) + 1
-    require_budget(8 * cap + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
+    # Leaves hold at least 64 of the pi(x) < 1.25506 x / ln x values (Rosser-Schoenfeld); each
+    # keeps two float sums, an int64 end, a length byte and about two split flags.  prime_pi
+    # checks its own tables, which are gone before the leaves exist.
+    leaves = int(1.25506 * x / math.log(x)) // 64 + 1
+    require_budget(32 * leaves + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
+    n = prime_pi(x)
+    stream = _PairwiseSum(n)
+    stream.add(np.array([0.5]))  # the one even prime
     roots = primes_up_to(max(2, math.isqrt(x))).primes.tolist()
     # The float log may fall one short at an exact power, hence + 2 and the test.
     powers = [(p, a, p**a) for p in roots for a in range(2, int(math.log(x, p)) + 2) if p**a <= x]
     odd_powers = np.sort(np.array([q for p, _, q in powers if p > 2], dtype=np.int64))
-    recips = np.empty(cap, dtype=np.float64)  # unwritten pages are never faulted in
-    recips[0], k = 0.5, 1  # the one even prime
     hists = LevelSnapshots([x], f_tag, False)
     for seg in segments:
         f = seg.f
@@ -298,13 +352,13 @@ def phi_diagnostics(
         ps = np.flatnonzero(ones)
         ps *= 2
         ps += seg.lo
-        np.divide(1.0, ps, out=recips[k : k + len(ps)])
-        k += len(ps)
-    recips = recips[:k]
+        stream.add(np.divide(1.0, ps))
+        if stream.fed > n:
+            break
+    if stream.fed != n:
+        raise CertificateError(f"phi's sweep found {stream.fed} primes up to {x}, but pi(x) = {n}")
     # Exponent 1 terms: f(p) = 1 for both tags.
-    b_sum = float(np.sum(recips))
-    np.subtract(1.0, recips, out=recips)
-    a_sum = float(np.sum(recips))
+    b_sum, a_sum = stream.totals()
     for p, a, power in powers:
         fv = prime_power_level(a, f_tag)
         a_sum += fv * (1.0 - 1.0 / p)

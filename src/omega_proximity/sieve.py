@@ -92,6 +92,33 @@ def primes_up_to(limit: int) -> PrimeList:
     return PrimeList(limit, primes)
 
 
+def prime_pi(x: int) -> int:
+    """pi(x), the number of primes p <= x, with no prime table up to x.
+
+    Legendre's recurrence over the values v = x // k (Lucy's form; see
+    Lagarias, Miller and Odlyzko, Math. Comp. 44, 1985): S(v) starts at
+    v - 1, and each prime p <= sqrt(x) in turn takes S(v // p) - S(p - 1)
+    from every S(v) with v >= p * p, reading the values before the step.
+    About x**(3/4) operations on int64 tables of sqrt(x) entries.
+    """
+    if x < 2:
+        return 0
+    r = math.isqrt(x)
+    require_budget(48 * (r + 1), "prime count")  # three tables and a step's temporaries
+    ks = np.arange(r + 1, dtype=np.int64)
+    small = ks - 1  # small[v] = S(v) for v <= r
+    large = x // ks.clip(1) - 1  # large[k] = S(x // k) for 1 <= k <= r
+    for p in primes_up_to(max(r, 2)).primes.tolist():
+        sp = int(small[p - 1])  # pi(p - 1) once the smaller primes' steps are done
+        m = min(r, x // (p * p))  # large[k] with x // k >= p * p
+        j = min(m, r // p)  # x // (k p) is large[k p] for k <= j, a small entry above
+        large[1 : j + 1] -= large[p : j * p + 1 : p] - sp
+        large[j + 1 : m + 1] -= small[x // (ks[j + 1 : m + 1] * p)] - sp
+        if p * p <= r:
+            small[p * p :] -= small[ks[p * p :] // p] - sp
+    return int(large[1])
+
+
 # The first twelve primes as Miller-Rabin bases; the smallest composite
 # that passes all of them is 318665857834031151167461 (Sorenson and
 # Webster, 2015), so below it the test is exact.

@@ -66,8 +66,8 @@ def test_census_rejects_x_beyond_int64(monkeypatch):
 
 
 def test_buffers_sized_only_after_the_range_check(monkeypatch):
-    # Raised budget: a sweep sizes its segments and phi_diagnostics a buffer
-    # of about x bytes, so the range check must come before numpy is asked for one.
+    # Raised budget: a sweep sizes its segments, and phi_diagnostics its prime
+    # count's tables and leaf sums, so the range check must come before numpy is asked for one.
     def never(*args, **kwargs):
         raise AssertionError("nothing may be swept or allocated")
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from omega_proximity import sieve
+from omega_proximity import cli, sieve
 from omega_proximity.cli import main
 
 # The package re-exports the function census under the module's name.
@@ -99,7 +99,7 @@ def test_verify_passes(tmp_path, capsys):
     assert run(["verify", "--x", "2000"], tmp_path) == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
-    assert "9/9 checks passed" in out
+    assert "10/10 checks passed" in out
     # Below the smallest member there is no witness, and L = 0 is right.
     for x in ("1", "2"):
         assert run(["verify", "--x", x], tmp_path) == 0, x
@@ -132,21 +132,32 @@ def test_verify_fails_a_wrong_count_lift(tmp_path, capsys, monkeypatch):
     assert "[FAIL] count-lift" in out
 
 
+def test_verify_fails_a_wrong_prime_count(tmp_path, capsys, monkeypatch):
+    # A prime count one too high contradicts both censuses' level 1.
+    pi = cli.prime_pi
+    monkeypatch.setattr(cli, "prime_pi", lambda x: pi(x) + 1)
+    assert run(["verify", "--x", "2000"], tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "[ ok ] census-partition" in out
+    assert "[FAIL] prime-count" in out
+
+
 def test_verify_validates_g_file(tmp_path, capsys):
     assert run(["construct", "--x", "2000"], tmp_path) == 0
     capsys.readouterr()
     g_path = tmp_path / "g.json"
     assert run(["verify", "--x", "2000", "--g", str(g_path)], tmp_path) == 0
-    assert "10/10 checks passed" in capsys.readouterr().out
+    assert "11/11 checks passed" in capsys.readouterr().out
 
     doc = json.loads(g_path.read_text())
     doc["table"][0]["value"] += 1
+    doc["table"][0]["z"] += 1  # a row build_g could make, one level up: only a rebuild tells
     bad = tmp_path / "g_bad.json"
     bad.write_text(json.dumps(doc))
     assert run(["verify", "--x", "2000", "--g", str(bad)], tmp_path) == 1
     out = capsys.readouterr().out
     assert "[FAIL] g-file-integrity: table differs from rebuild" in out
-    assert "9/10 checks passed" in out
+    assert "10/11 checks passed" in out
 
 
 def test_verify_rejects_unreadable_g(tmp_path, capsys):
@@ -239,6 +250,17 @@ def test_phi_beyond_budget_exit_3(tmp_path, capsys):
     assert "phi diagnostics needs about" in capsys.readouterr().err
 
 
+def test_phi_prime_count_mismatch_exit_1(tmp_path, capsys, monkeypatch):
+    # The sweep's primes must number pi(x): a count one too high is refused
+    # after the sweep, with one error line and no file.
+    pi = proximity_module.prime_pi
+    monkeypatch.setattr(proximity_module, "prime_pi", lambda x: pi(x) + 1)
+    assert run(["phi", "--x", "100000"], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: phi's sweep found 9592 primes up to 100000, but pi(x) = 9593"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certificate_runs_in_segment_memory(tmp_path, monkeypatch, capsys):
     # Whole-range certificate arrays would need about 71 MB at this x.
     monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "40")
@@ -312,9 +334,13 @@ def test_g_file_x_must_be_an_integer(tmp_path, capsys, x):
     (["table", 0, "class"], "3"),
     (["table", 0, "fallback"], "false"),
     (["f"], "bigomega"),
-], ids=["member-float", "member-str", "z-float", "class-str", "fallback-str", "f-alias"])
+    (["table", 0, "class"], 7),
+    (["table", 1, "z"], -5),
+], ids=["member-float", "member-str", "z-float", "class-str", "fallback-str", "f-alias",
+        "class-off-its-prime", "z-off-its-value"])
 def test_g_file_fields_are_read_without_coercion(tmp_path, capsys, path, value):
     # No field is coerced: 3.0 is not the member 3, nor "false" the boolean false.
+    # Nor may a row contradict its prime: the class 7 on 3, the z -5 on 5.
     _assert_g_file_refused(tmp_path, capsys, path, value)
 
 

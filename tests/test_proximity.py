@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from omega_proximity.errors import CertificateError
 from omega_proximity.gfunction import GEntry, GFunction, build_g
 from omega_proximity.primeset import PrimeSetS
 from omega_proximity.proximity import (
+    _PairwiseSum,
     certificate_count,
     coincidence_count,
     growth_report,
@@ -20,6 +22,7 @@ from omega_proximity.proximity import (
     report_csv_lines,
     report_json_dict,
 )
+from omega_proximity.sieve import primes_up_to
 
 from oracles import certificate_count_slow, certificate_fails_slow, coincidence_count_slow, phi_slow
 
@@ -250,16 +253,33 @@ def test_phi_matches_slow_oracle_bit_for_bit(x, tag):
             assert got == (repr(a_sum), repr(b_sum), repr(phi), max_count), (segment_size, threads)
 
 
+def test_pairwise_sum_replays_numpy_bit_for_bit():
+    # The leaf sums are numpy's own tree only if np.sum still builds it this
+    # way: a numpy that sums otherwise fails here before any golden hash does.
+    rng = np.random.default_rng(16)
+    lengths = [*range(1, 600), *rng.integers(600, 2_000_001, 60).tolist()]
+    recips = 1.0 / primes_up_to(33_000_000).primes[: max(lengths)]
+    for n in lengths:
+        v = recips[:n]
+        stream, fed = _PairwiseSum(n), 0
+        while fed < n:  # chunks of one value, of a few, and of many leaves
+            size = int(rng.choice([1, rng.integers(1, 300), rng.integers(1, n // 4 + 2)]))
+            stream.add(v[fed : fed + size])
+            fed += size
+        assert stream.totals() == (float(np.sum(v)), float(np.sum(1.0 - v))), n
+
+
 def test_phi_memory_is_per_segment_plus_primes():
     # A prime table up to x with its float copies would take about 6.5 MB
-    # here; the 1/p buffer is 8 bytes per prime <= x.
+    # here, and a 1/p buffer 8 bytes per prime <= x: 2.2 MB.  Streamed into
+    # numpy's summation tree, phi keeps two floats per leaf of 64 to 128 primes.
     tracemalloc.start()
     try:
         phi_diagnostics(4_000_000, "omega", segment_size=1 << 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20
+    assert peak < 1.5 * 2**20
 
 
 def test_phi_json_payload():

@@ -20,6 +20,7 @@ from omega_proximity.sieve import (
     is_prime,
     iter_factor_segments,
     next_prime,
+    prime_pi,
     primes_up_to,
 )
 
@@ -56,6 +57,24 @@ def test_primes_up_to_matches_oracle():
 def test_primes_up_to_rejects_tiny_limit():
     with pytest.raises(ValueError):
         primes_up_to(1)
+
+
+# pi(10**k), k = 0..10 (OEIS A006880).
+PUBLISHED_PI = (0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511)
+
+
+def test_prime_pi_published_values():
+    assert [prime_pi(10**k) for k in range(11)] == list(PUBLISHED_PI)
+    assert [prime_pi(x) for x in (-5, 0, 1, 2, 3, 4)] == [0, 0, 0, 1, 2, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.integers(2, 10**6))
+@example(x=2)
+@example(x=121)
+@example(x=10**6)
+def test_prime_pi_matches_a_prime_table(x):
+    assert prime_pi(x) == len(primes_up_to(x).primes)
 
 
 def test_is_prime_matches_oracle():
