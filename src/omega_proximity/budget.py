@@ -20,10 +20,10 @@ BUDGET_ENV_VAR = "OMEGA_PROXIMITY_BUDGET"
 DEFAULT_BUDGET_MB = 2048
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Working set of one segment, per entry (n, or odd n in a step-2 sweep): the
-# sieve kernel's uint16 word and its uint8 f, 3 B; then the certificate's uint16
-# marks and g values and uint8 levels and compares, about 8 B (bincount's int64
-# copies are chunked to 2**16 values).  The cap of 32 also covers temporaries.
+# Working set of one sieve block, per entry (n, or odd n in a step-2 sweep): the
+# kernel's uint16 word and uint8 f, 3 B; consumers read it in views of 2**18
+# entries, up to about 7 B per view entry, and drop them before the next block:
+# traced peaks at 2**20-entry blocks are 3.0-3.3 B per entry.  The cap is 32.
 WORKING_BYTES_PER_N = 32
 
 

@@ -135,12 +135,10 @@ def census(
     hists = LevelSnapshots([x], f_tag, 2 in members)
     for seg in segments:
         levels = seg.f
-        if members:  # park members' multiples past the histogram, as the certificate does
-            hit = coprime_mask(seg.lo, seg.hi, members, 2).view(np.uint8)
-            hit -= 1  # 255 where a member divides n, else 0
-            hit &= LEVEL_CEILING
-            levels += hit
+        if members:  # park members' multiples (mask 0, minus 1 wraps to 255) past the histogram
+            levels += (coprime_mask(seg.lo, seg.hi, members, 2).view(np.uint8) - 1) & LEVEL_CEILING
         hists.add(seg, levels)
+        del seg, levels  # the view holds its block, which goes before the next is sieved
     counts = {int(k): int(c) for k, c in enumerate(hists.at(x)) if c}
     return CensusTable(x, f_tag, restrict, counts)
 
@@ -187,6 +185,7 @@ def concentration_tail(
         np.subtract(seg.f, dev, out=dev)
         np.abs(dev, out=dev)
         total += int(np.count_nonzero(dev > threshold))
+        del seg, dev  # the view holds its block, which goes before the next is sieved
     return total
 
 

@@ -22,13 +22,17 @@ def _is_int(v: object) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+# Each builder's parameter and the bound it must exceed.
+_PARAMETER = {"paper": ("delta", 0.0), "power": ("exponent", 1.0), "custom": (None, None)}
+
+
 @dataclass(frozen=True)
 class PrimeSetS:
     """Strictly increasing primes: odd ones, optionally led by 2.
 
     Anything else raises ValueError at construction.  kind records which
-    builder produced the set ("paper", "power", or "custom"), delta and
-    exponent the builder's parameter.
+    builder produced the set: "paper" with its finite delta > 0, "power" with
+    its finite exponent > 1, or "custom" with neither.
     """
 
     members: tuple[int, ...]
@@ -44,6 +48,16 @@ class PrimeSetS:
                 raise ValueError(f"set member {m} is not prime")
             if i and m <= self.members[i - 1]:
                 raise ValueError("set members must be strictly increasing")
+        if not isinstance(self.kind, str) or self.kind not in _PARAMETER:
+            raise ValueError(f"set kind must be one of {tuple(_PARAMETER)}, got {self.kind!r}")
+        own, floor = _PARAMETER[self.kind]
+        for name in ("delta", "exponent"):
+            v = getattr(self, name)
+            if name != own:
+                if v is not None:
+                    raise ValueError(f"a {self.kind} set carries no {name}, got {v!r}")
+            elif isinstance(v, bool) or not isinstance(v, numbers.Real) or not floor < v < math.inf:
+                raise ValueError(f"a {self.kind} set needs a finite {name} > {floor:g}, got {v!r}")
 
     @property
     def classes(self) -> tuple[int | None, ...]:

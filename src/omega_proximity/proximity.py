@@ -109,6 +109,7 @@ def coincidence_count(
         gv *= g2  # g(2**b m), b >= 1: at most 64 * 64, and 64 and up match no f(n)
         gv -= f  # wraps below zero to values no level reaches
         total += _even_matches(gv, seg, x, f_tag)
+        del seg, f, gv  # the view holds its block, which goes before the next is sieved
     return total
 
 
@@ -189,7 +190,7 @@ def certificate_count(
         confirmed += _even_matches(marks, seg, x, f_tag)
         if confirmed != found:
             raise CertificateError(f"certificate witness failed in [{seg.lo}, {seg.hi})")
-        del marks, gv  # 4 B per entry, freed before the next segment is sieved
+        del seg, f, marks, levels, witness, gv  # all freed before the next block is sieved
 
     count = sum(int(hists.at(y)[level]) for y, level in families)
     if count != found:
@@ -353,6 +354,7 @@ def phi_diagnostics(
         ps *= 2
         ps += seg.lo
         stream.add(np.divide(1.0, ps))
+        del seg, f, ones, ps  # the view holds its block, which goes before the next is sieved
         if stream.fed > n:
             break
     if stream.fed != n:

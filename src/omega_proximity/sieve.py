@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -25,6 +24,8 @@ import numpy as np
 from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
 
 MIN_SEGMENT_SIZE = 64
+# Entries per yielded view of a block: consumers' temporaries stay below the kernel's.
+VIEW_SIZE = 1 << 18
 F_TAGS = ("omega", "big_omega")
 
 # Largest x a sweep of [1, x] reaches: hi = x + 1 stays an int64 for the
@@ -54,7 +55,9 @@ class FactorCensus:
     """Counts of one tag, omega or big_omega, over the half-open range [lo, hi).
 
     f[i] holds the count for n = lo + step * i as uint8 (step 2: the odd n),
-    below LEVEL_CEILING.  n = 1 counts zero.
+    below LEVEL_CEILING.  n = 1 counts zero.  A sweep yields views: f is a
+    slice of at most VIEW_SIZE entries of its sieve block's array, which the
+    consumer may overwrite and which lives until its last view is dropped.
     """
 
     lo: int
@@ -232,6 +235,7 @@ def _pipelined(worker: Callable, items: Iterable, threads: int) -> Iterator:
         for item in items:
             yield worker(item)
         return
+    from concurrent.futures import ThreadPoolExecutor  # imported only where threads run
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
         for item in items:
@@ -252,8 +256,11 @@ def iter_factor_segments(
 ) -> Iterator[FactorCensus]:
     """FactorCensus segments of f_tag at n = lo + step * i in [lo, hi), ascending.
 
-    step 1 sweeps every n, step 2 the odd n from an odd lo, segment_size
-    entries per segment either way.  Range, step and tag are checked at the
+    step 1 sweeps every n, step 2 the odd n from an odd lo.  The kernel sieves
+    blocks of segment_size entries, as its per-prime loop costs the same for
+    any block, and each block is yielded as views of at most VIEW_SIZE entries
+    that tile it.  Once a consumer drops a block's last view, the block is
+    freed before the next one is sieved.  Range, step and tag are checked at the
     call, before any segment.  Segments never change the counts; workers share
     only read-only tables, so results are identical for any threads value.
     """
@@ -272,12 +279,18 @@ def iter_factor_segments(
     sieve_primes = primes_up_to(root).primes if root >= 2 else np.empty(0, dtype=np.int64)
     hits, thresholds = _sieve_tables(sieve_primes[step - 1 :], hi, f_tag)  # 2 leads; step 2 skips it
 
-    def worker(span: tuple[int, int]) -> FactorCensus:
-        a, b = span
-        return FactorCensus(a, b, _segment_factor_counts(a, b, hits, thresholds, step), step)
+    def worker(span: tuple[int, int]) -> tuple[int, int, np.ndarray]:
+        return *span, _segment_factor_counts(*span, hits, thresholds, step)
+
+    def views(blocks: Iterator[tuple[int, int, np.ndarray]]) -> Iterator[FactorCensus]:
+        for a, b, f in blocks:
+            for i in range(0, len(f), VIEW_SIZE):
+                end = min(a + step * (i + VIEW_SIZE), b)
+                yield FactorCensus(a + step * i, end, f[i : i + VIEW_SIZE], step)
+            del f  # not held while the next block is sieved
 
     width = step * segment_size
-    return _pipelined(worker, ((a, min(a + width, hi)) for a in range(lo, hi, width)), threads)
+    return views(_pipelined(worker, ((a, min(a + width, hi)) for a in range(lo, hi, width)), threads))
 
 
 def factorize(n: int) -> list[int]:

@@ -1,5 +1,6 @@
 """Command-line front end, file outputs, and exit codes."""
 
+import hashlib
 import importlib
 import json
 
@@ -80,6 +81,19 @@ def test_report_rerun_is_byte_identical(tmp_path):
     lines = (a / "report.csv").read_text().splitlines()
     assert lines[0] == "x,f,E,L,loglogx,eps,ratio_E,ratio_L"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("segment_size", ["262143", "262144", "1048576"])
+def test_report_bytes_do_not_depend_on_views(tmp_path, segment_size):
+    # 10**6 odd n up to 2*10**6: blocks of 2**18 - 1 entries yield one view
+    # each, blocks of 2**18 one full view, and one 2**20 block four views.
+    # The digests were recorded from whole-block reads, before views existed.
+    assert run(["report", "--grid", "100000,1000000,2000000", "--segment-size", segment_size], tmp_path) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert written == {
+        "report.csv": "0cda73a2e57bcabcebba4bcc0dcc870b724e379c8d86e8f420d1419f0f061f00",
+        "report.json": "5f979da5d19a0a075f135606e60193c5f2505d55f0210f914879ab2a71da11d9",
+    }
 
 
 def test_report_empty_grid(tmp_path):
@@ -336,11 +350,15 @@ def test_g_file_x_must_be_an_integer(tmp_path, capsys, x):
     (["f"], "bigomega"),
     (["table", 0, "class"], 7),
     (["table", 1, "z"], -5),
+    (["set", "kind"], 5),
+    (["set", "delta"], "oops"),
+    (["set", "exponent"], True),
 ], ids=["member-float", "member-str", "z-float", "class-str", "fallback-str", "f-alias",
-        "class-off-its-prime", "z-off-its-value"])
+        "class-off-its-prime", "z-off-its-value", "kind-int", "delta-str", "exponent-bool"])
 def test_g_file_fields_are_read_without_coercion(tmp_path, capsys, path, value):
     # No field is coerced: 3.0 is not the member 3, nor "false" the boolean false.
-    # Nor may a row contradict its prime: the class 7 on 3, the z -5 on 5.
+    # Nor may a row contradict its prime: the class 7 on 3, the z -5 on 5.  Nor
+    # may the power set's provenance: kind 5, a delta it never had, exponent true.
     _assert_g_file_refused(tmp_path, capsys, path, value)
 
 

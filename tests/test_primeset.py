@@ -131,6 +131,34 @@ def test_coprime_mask_of_odd_entries():
             assert np.array_equal(coprime_mask(lo, hi, members, 2), full[::2]), (members, lo, hi)
 
 
+@pytest.mark.parametrize("kind, delta, exponent", [
+    (5, "oops", None),
+    ("Paper", 0.5, None),
+    ("paper", None, None),
+    ("paper", 0.0, None),
+    ("paper", math.nan, None),
+    ("paper", True, None),
+    ("paper", 0.5, 2.0),
+    ("power", None, 1.0),
+    ("power", None, math.inf),
+    ("power", None, "2"),
+    ("power", 0.5, 2.0),
+    ("custom", 0.5, None),
+    ("custom", None, 2.0),
+])
+def test_provenance_must_fit_its_kind(kind, delta, exponent):
+    # A paper set carries a finite delta > 0 and a power set a finite
+    # exponent > 1, each alone; a custom set carries neither.
+    with pytest.raises(ValueError, match="set"):
+        PrimeSetS.from_json_dict({"members": [3, 5], "kind": kind, "delta": delta, "exponent": exponent})
+
+
+def test_builders_record_their_parameter():
+    assert threshold_prime_set(0.5, 3) == PrimeSetS((2, 3, 7), "paper", delta=0.5)
+    assert power_prime_set(2, 3) == PrimeSetS((3, 5, 11), "power", exponent=2.0)
+    assert PrimeSetS.from_json_dict({"members": [3], "kind": "paper", "delta": 1}).delta == 1
+
+
 def test_json_round_trip():
     s = power_prime_set(2.0, 5)
     d = s.to_json_dict()

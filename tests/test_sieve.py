@@ -1,5 +1,6 @@
 """Sieve layer against the trial-division oracles."""
 
+import concurrent.futures
 import math
 import os
 import random
@@ -153,6 +154,32 @@ def test_sweep_call_shape_of_the_benchmark():
     assert sum(seg.hi - seg.lo for seg in segments) == hi - lo
     assert [seg.lo for seg in segments] == list(range(lo, hi, 1024))
     assert all(len(seg.f) == seg.hi - seg.lo for seg in segments)
+
+
+def test_blocks_are_yielded_as_views_that_tile_the_range():
+    # The kernel sieves blocks of segment_size entries and yields each as
+    # slices of at most VIEW_SIZE entries of the block's own f, no copy: they
+    # tile [lo, hi) and hold what a sweep of small blocks holds.
+    view = sieve.VIEW_SIZE
+    for step in (1, 2):
+        lo, hi = 1, 1 + step * (view + 1000)
+        entries = view + 1000
+        for tag in F_TAGS:
+            want = np.concatenate([seg.f for seg in iter_factor_segments(lo, hi, 64, 1, tag, step)])
+            for segment_size in (view - 1, view + 1, 1 << 20):
+                blocks = [min(segment_size, entries - i) for i in range(0, entries, segment_size)]
+                sizes = [min(view, b - i) for b in blocks for i in range(0, b, view)]
+                for threads in (1, 2):
+                    segments = list(iter_factor_segments(lo, hi, segment_size, threads, tag, step))
+                    assert [len(seg.f) for seg in segments] == sizes
+                    assert segments[0].lo == lo and segments[-1].hi == hi
+                    assert all(a.hi == b.lo for a, b in zip(segments, segments[1:]))
+                    assert all(len(seg.f) == len(range(seg.lo, seg.hi, step)) for seg in segments)
+                    assert all(seg.step == step for seg in segments)
+                    joined = np.concatenate([seg.f for seg in segments])
+                    assert np.array_equal(joined, want), (step, tag, segment_size, threads)
+            one_block = list(iter_factor_segments(lo, hi, 1 << 20, 1, tag, step))
+            assert one_block[0].f.base is one_block[1].f.base is not None
 
 
 def test_segment_size_independence():
@@ -327,7 +354,7 @@ def test_threads_capped_at_cpu_count(monkeypatch):
             return future
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sieve, "ThreadPoolExecutor", SyncPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SyncPool)
     # Uncapped, 10**6 threads of 1024-integer segments would also fail the
     # default 2048 MB budget.
     for tag in F_TAGS:
