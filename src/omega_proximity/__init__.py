@@ -4,12 +4,8 @@ strongly multiplicative functions."""
 from .budget import BUDGET_ENV_VAR, DEFAULT_SEGMENT_SIZE, memory_budget_mb
 from .census import (
     CensusTable,
-    ConcentrationInterval,
     census,
-    concentration_interval,
     concentration_tail,
-    interval_from_center,
-    levels_in_interval,
     mode_k,
 )
 from .errors import CapacityError, CertificateError, ScaleError
@@ -50,7 +46,6 @@ __all__ = [
     "CapacityError",
     "CensusTable",
     "CertificateError",
-    "ConcentrationInterval",
     "FactorCensus",
     "GEntry",
     "GFunction",
@@ -65,17 +60,14 @@ __all__ = [
     "certificate_count",
     "coincidence_count",
     "compute_maximizer",
-    "concentration_interval",
     "concentration_tail",
     "coprime_count_inclusion_exclusion",
     "coprime_mask",
     "density_constant",
     "factorize",
     "growth_report",
-    "interval_from_center",
     "is_prime",
     "iter_factor_segments",
-    "levels_in_interval",
     "memory_budget_mb",
     "mode_k",
     "next_prime",

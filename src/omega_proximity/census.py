@@ -2,13 +2,13 @@
 
 Responsibility: tabulate how many n <= x have omega(n) or big_omega(n)
 equal to each level k, optionally restricted to integers coprime to a
-prime set; locate the modal level; measure how often omega(n) strays far
-from log log n; and carve the concentration window around log log x.
-All logarithms are natural.
+prime set; locate the modal level; and count how often omega(n) strays
+far from log log n.  All logarithms are natural.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -39,16 +39,6 @@ class CensusTable:
 
     def get(self, k: int) -> int:
         return self.counts.get(k, 0)
-
-
-@dataclass(frozen=True)
-class ConcentrationInterval:
-    """Window [lo, hi] around center = log log x with halfwidth center**(1/2 + eps)."""
-
-    center: float
-    halfwidth: float
-    lo: float
-    hi: float
 
 
 def add_level_counts(acc: np.ndarray, values: np.ndarray) -> None:
@@ -164,11 +154,14 @@ def concentration_tail(
     log log 2 is negative.  Requires x >= 3 so the threshold base is
     positive.
 
-    With T = (log log x)**(1 + delta), an n at level omega(n) = k is in the
-    tail exactly when n < exp(exp(k - T)) or n > exp(exp(k + T)), so whole
-    levels enter and leave the count at those boundaries and tail(x)/x is
-    not monotone in x (33/10^4 but 74619/10^7 at delta = 0.1).  What is
-    guaranteed is the Chebyshev bound
+    With T = (log log x)**(1 + delta), the float test abs(k - log(log(n))) > T
+    is false, as log log n grows, for the n at level k >= 1 in a band
+    [a_k, b_k]: each cut is a bisection over 2..x of the test, computed as for
+    one n (the closed form exp(exp(k -+ T)) overflows).  The tail is the sum
+    over k of pi_k(x) - (pi_k(b_k) - pi_k(a_k - 1)), read from one sweep of
+    the odd n.  Whole levels enter and leave the count at the cuts, so
+    tail(x)/x is not monotone in x (33/10^4 but 74619/10^7 at delta = 0.1).
+    What is guaranteed is the Chebyshev bound
     tail(x) <= sum over 2 <= n <= x of (omega(n) - log log n)**2 / T**2,
     which the Turan-Kubilius inequality makes O(x (log log x)**(-1 - 2 delta)).
     """
@@ -177,40 +170,21 @@ def concentration_tail(
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     threshold = math.log(math.log(x)) ** (1.0 + delta)
-    total = 0
-    for seg in iter_factor_segments(2, x + 1, segment_size, threads, "omega"):
-        dev = np.arange(seg.lo, seg.hi, dtype=np.float64)  # |omega(n) - log log n|, in place
-        np.log(dev, out=dev)
-        np.log(dev, out=dev)
-        np.subtract(seg.f, dev, out=dev)
-        np.abs(dev, out=dev)
-        total += int(np.count_nonzero(dev > threshold))
-        del seg, dev  # the view holds its block, which goes before the next is sieved
-    return total
-
-
-def interval_from_center(center: float, eps: float) -> ConcentrationInterval:
-    """Window with halfwidth center**(1/2 + eps); center must be positive."""
-    if center <= 0:
-        raise ValueError(f"center must be positive, got {center}")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    halfwidth = center ** (0.5 + eps)
-    return ConcentrationInterval(center, halfwidth, center - halfwidth, center + halfwidth)
-
-
-def concentration_interval(x: int, eps: float) -> ConcentrationInterval:
-    """Window around log log x for x >= 16."""
-    if x < 16:
-        raise ValueError(f"concentration_interval requires x >= 16, got {x}")
-    return interval_from_center(math.log(math.log(x)), eps)
-
-
-def levels_in_interval(table: CensusTable, window: ConcentrationInterval) -> int:
-    """Sum of census counts over integer levels k >= 0 inside the window."""
-    lo = max(math.ceil(window.lo), 0)
-    hi = math.floor(window.hi)
-    return sum(table.counts.get(k, 0) for k in range(lo, hi + 1))
+    ns = range(2, x + 1)
+    bands = {}  # k: (a_k, b_k)
+    for k in range(1, x.bit_length()):  # omega(n) <= log2 n
+        # log log n - k is -(k - log log n) exactly, as a segment computes it, so
+        # abs(k - log log n) > threshold holds below a_k and above b_k.
+        rise = lambda n: np.log(np.log(np.float64(n))) - k
+        bands[k] = (2 + bisect.bisect_left(ns, -threshold, key=rise),
+                    1 + bisect.bisect_right(ns, threshold, key=rise))
+    ys = {x, *(y for a, b in bands.values() for y in (a - 1, b))}
+    hists = LevelSnapshots(ys, "omega", False)
+    for seg in iter_factor_segments(1, x + 1, segment_size, threads, "omega", 2):
+        hists.add(seg, seg.f)
+        del seg  # the view holds its block, which goes before the next is sieved
+    at = {y: hists.at(y) for y in ys}
+    return sum(int(at[x][k] - at[b][k] + at[a - 1][k]) for k, (a, b) in bands.items())
 
 
 def census_csv_lines(table: CensusTable) -> list[str]:

@@ -26,8 +26,7 @@ from .census import (
     census,
     census_csv_lines,
     census_metadata,
-    concentration_interval,
-    levels_in_interval,
+    concentration_tail,
     mode_k,
 )
 from .errors import CapacityError, CertificateError
@@ -251,16 +250,25 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     pset = power_prime_set(2.0, 5)
     g = build_g(x, pset, "big_omega", seg, threads)
     g_two = GFunction(None, None, "big_omega", (GEntry(2, 2, None, None, False), *g.entries))
+    # The omega sweep also counts the tail per n >= 2: |omega(n) - log log n| > (log log x)**1.1.
+    threshold = math.log(math.log(x)) ** 1.1 if x >= 3 else None
     lift_ok = count_ok = True
+    tail = 0
     for t in (t_omega, t_big):
         hist, direct = np.zeros(LEVEL_CEILING, dtype=np.int64), np.zeros(2, dtype=np.int64)
         for s in iter_factor_segments(1, x + 1, seg, threads, t.f_tag):
             add_level_counts(hist, s.f)
             direct += [np.count_nonzero(s.f == _g_segment_values(gg, s.lo, s.hi)) for gg in (g, g_two)]
+            if t is t_omega and threshold is not None:
+                dev = np.log(np.log(np.arange(max(s.lo, 2), s.hi, dtype=np.float64)))
+                tail += int(np.count_nonzero(np.abs(s.f[max(2 - s.lo, 0) :] - dev) > threshold))
         lift_ok &= t.counts == {k: int(c) for k, c in enumerate(hist) if c}
         count_ok &= direct.tolist() == [coincidence_count(x, t.f_tag, gg, seg, threads) for gg in (g, g_two)]
     checks.append(("census-lift", lift_ok, f"odd sweep lifted = full sweep at x={x}, both tags"))
     checks.append(("count-lift", count_ok, f"E lifted = full-sweep E at x={x}, both tags, g(2) = 1, 2"))
+    if threshold is not None:
+        banded = concentration_tail(x, 0.1, seg, threads)
+        checks.append(("tail-bands", tail == banded, f"per-n tail {tail} = banded tail {banded}"))
 
     # Known small values.
     t100 = census(100, "omega")
@@ -299,20 +307,6 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
             ok = False
             break
     checks.append(("strong-multiplicativity", ok, "2000 sampled identities"))
-
-    # Window mass never beats level count times the max level.
-    if x >= 16:
-        window = concentration_interval(x, 0.1)
-        mass = levels_in_interval(t_omega, window)
-        k_lo = max(math.ceil(window.lo), 0)
-        k_hi = math.floor(window.hi)
-        n_levels = max(k_hi - k_lo + 1, 0)
-        peak = max(
-            (t_omega.get(k) for k in range(k_lo, k_hi + 1)),
-            default=0,
-        )
-        ok = mass <= n_levels * peak
-        checks.append(("pigeonhole-window", ok, f"mass {mass} <= {n_levels} * {peak}"))
 
     # Optional g file integrity: reparse and rebuild from provenance.
     if args.g:

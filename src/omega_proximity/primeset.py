@@ -80,7 +80,14 @@ class PrimeSetS:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PrimeSetS":
-        return cls(tuple(d["members"]), d.get("kind", "custom"), d.get("delta"), d.get("exponent"))
+        """The set d records; a paper or power set must be its builder's output."""
+        s = cls(tuple(d["members"]), d.get("kind", "custom"), d.get("delta"), d.get("exponent"))
+        n = len(s.members)
+        if s.kind != "custom" and s != (
+            threshold_prime_set(s.delta, n) if s.kind == "paper" else power_prime_set(s.exponent, n)
+        ):
+            raise ValueError(f"{list(s.members)} is not the {s.kind} set of its parameter and size")
+        return s
 
 
 def _grow(members: list[int], thresholds: Iterable[float]) -> list[int]:

@@ -1,4 +1,4 @@
-"""Level-set censuses, mode finding, tails, and windows."""
+"""Level-set censuses, mode finding, and tails."""
 
 import math
 import tracemalloc
@@ -16,10 +16,7 @@ from omega_proximity.census import (
     census,
     census_csv_lines,
     census_metadata,
-    concentration_interval,
     concentration_tail,
-    interval_from_center,
-    levels_in_interval,
     mode_k,
 )
 from omega_proximity.primeset import (
@@ -228,8 +225,9 @@ def test_concentration_tail_small():
 
 
 def test_concentration_tail_matches_oracle():
-    for delta in (0.1, 0.5):
-        assert concentration_tail(500, delta) == concentration_tail_slow(500, delta)
+    for x in (3, 4, 5, 16, 17, 100, 500, 2000):
+        for delta in (0.01, 0.1, 0.5, 2.0):
+            assert concentration_tail(x, delta) == concentration_tail_slow(x, delta), (x, delta)
 
 
 def test_concentration_tail_frozen_at_1e4():
@@ -237,9 +235,9 @@ def test_concentration_tail_frozen_at_1e4():
 
 
 def test_concentration_tail_memory_is_per_segment():
-    # One float64 buffer per segment, worked in place, besides the sweep's own
-    # 3 B per entry; separate arange, log, log, difference and abs arrays
-    # took about 34 B per entry.
+    # The odd sweep's 3 B per entry and 512 B per level snapshot; a float64
+    # buffer per segment took 8 B per entry more, and separate arange, log,
+    # log, difference and abs arrays about 34 B per entry.
     segment_size = 1 << 16
     tracemalloc.start()
     try:
@@ -251,69 +249,9 @@ def test_concentration_tail_memory_is_per_segment():
 
 
 def test_concentration_tail_segment_independence():
-    assert concentration_tail(4000, 0.1, segment_size=64) == concentration_tail(4000, 0.1)
-
-
-def test_interval_geometry():
-    w = interval_from_center(4.0, 0.5)
-    assert w.halfwidth == 4.0
-    assert w.lo == 0.0 and w.hi == 8.0
-    with pytest.raises(ValueError):
-        interval_from_center(0.0, 0.1)
-    for bad in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            interval_from_center(2.0, bad)
-
-
-def test_concentration_interval_frozen():
-    # center and halfwidth cross-checked against 50-digit arithmetic
-    w = concentration_interval(1_000_000, 0.1)
-    assert math.isclose(w.center, 2.625791914476011, rel_tol=1e-15)
-    assert math.isclose(w.halfwidth, 1.784662852697308, rel_tol=1e-15)
-    assert w.lo == w.center - w.halfwidth
-    assert w.hi == w.center + w.halfwidth
-    with pytest.raises(ValueError):
-        concentration_interval(15, 0.1)
-
-
-def test_interval_matches_high_precision_arithmetic():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    exponent = mp.mpf(1) / 2 + mp.mpf("0.1")
-    for x in (16, 1_000_000, 10_000_000):
-        w = concentration_interval(x, 0.1)
-        center = mp.log(mp.log(x))
-        assert math.isclose(w.center, float(center), rel_tol=1e-14)
-        assert math.isclose(w.halfwidth, float(center**exponent), rel_tol=1e-13)
-
-
-def test_levels_in_interval_counts_window_mass():
-    t = census(100, "omega")
-    w = interval_from_center(2.0, 0.1)  # halfwidth ~1.52, levels 1..3
-    assert levels_in_interval(t, w) == 35 + 56 + 8
-    narrow = interval_from_center(2.0, 0.001)  # levels 1..3 still
-    assert levels_in_interval(t, narrow) == 99
-
-
-def test_splitting_identity(power_set_5):
-    t = census(5000, "omega", restrict=power_set_5)
-    w = concentration_interval(5000, 0.1)
-    lo = max(math.ceil(w.lo), 0)
-    hi = math.floor(w.hi)
-    inside = sum(c for k, c in t.counts.items() if lo <= k <= hi)
-    outside = sum(c for k, c in t.counts.items() if not lo <= k <= hi)
-    assert inside == levels_in_interval(t, w)
-    assert inside + outside == t.total()
-
-
-def test_pigeonhole_bound():
-    for x in (10_000, 100_000):
-        t = census(x, "omega")
-        w = concentration_interval(x, 0.1)
-        lo = max(math.ceil(w.lo), 0)
-        hi = math.floor(w.hi)
-        peak = max(t.counts.get(k, 0) for k in range(lo, hi + 1))
-        assert levels_in_interval(t, w) <= math.ceil(2 * w.halfwidth + 1) * peak
+    base = concentration_tail(4000, 0.1)
+    for threads in (1, 2):
+        assert concentration_tail(4000, 0.1, segment_size=64, threads=threads) == base
 
 
 def test_csv_lines():

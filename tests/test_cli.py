@@ -156,6 +156,17 @@ def test_verify_fails_a_wrong_prime_count(tmp_path, capsys, monkeypatch):
     assert "[FAIL] prime-count" in out
 
 
+def test_verify_fails_a_wrong_tail(tmp_path, capsys, monkeypatch):
+    # A banded tail one too high disagrees with the per-n count on the full
+    # omega sweep, which the census lift reads too.
+    tail = cli.concentration_tail
+    monkeypatch.setattr(cli, "concentration_tail", lambda *args: tail(*args) + 1)
+    assert run(["verify", "--x", "2000"], tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "[ ok ] census-lift" in out
+    assert "[FAIL] tail-bands" in out
+
+
 def test_verify_validates_g_file(tmp_path, capsys):
     assert run(["construct", "--x", "2000"], tmp_path) == 0
     capsys.readouterr()
@@ -353,12 +364,15 @@ def test_g_file_x_must_be_an_integer(tmp_path, capsys, x):
     (["set", "kind"], 5),
     (["set", "delta"], "oops"),
     (["set", "exponent"], True),
+    (["set", "exponent"], 3.0),
 ], ids=["member-float", "member-str", "z-float", "class-str", "fallback-str", "f-alias",
-        "class-off-its-prime", "z-off-its-value", "kind-int", "delta-str", "exponent-bool"])
+        "class-off-its-prime", "z-off-its-value", "kind-int", "delta-str", "exponent-bool",
+        "exponent-off-its-members"])
 def test_g_file_fields_are_read_without_coercion(tmp_path, capsys, path, value):
     # No field is coerced: 3.0 is not the member 3, nor "false" the boolean false.
     # Nor may a row contradict its prime: the class 7 on 3, the z -5 on 5.  Nor
-    # may the power set's provenance: kind 5, a delta it never had, exponent true.
+    # may the power set's provenance: kind 5, a delta it never had, exponent true,
+    # or an exponent whose set is [3, 11, 29, 67, 127], not these members.
     _assert_g_file_refused(tmp_path, capsys, path, value)
 
 

@@ -1,9 +1,10 @@
 """Lint checks on the package's syntax trees.
 
 Every name a package module imports is used by that module, the package
-exports exactly the names its __init__ imports, and the CLI's one writer is
-the only code that writes a file.  No linter ships with the project, so
-these walk each module's syntax tree instead.
+exports exactly the names its __init__ imports, the CLI's one writer is
+the only code that writes a file, and the library sweeps only the odd n.
+No linter ships with the project, so these walk each module's syntax tree
+instead.
 """
 
 import ast
@@ -81,3 +82,27 @@ def test_only_the_cli_writer_writes_files():
         for where in _file_writes(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert writes == [("cli.py", "_write")]
+
+
+def _sweep_steps(tree: ast.Module) -> list[object]:
+    """The step each iter_factor_segments call passes: its sixth argument or
+    step keyword, as a constant, else None (unspelled, or the default 1)."""
+    steps = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "iter_factor_segments":
+            given = node.args[5:6] + [k.value for k in node.keywords if k.arg == "step"]
+            steps.append(given[0].value if given and isinstance(given[0], ast.Constant) else None)
+    return steps
+
+
+def test_library_sweeps_are_odd():
+    # Census (and build_g through it), the tail, E, L and phi read odd sweeps
+    # and lift the even n; full sweeps belong to the CLI's verify, as references.
+    steps = {
+        name: _sweep_steps(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+        for name in ("census.py", "proximity.py", "gfunction.py")
+    }
+    assert sum(map(len, steps.values())) >= 5
+    assert {name: [s for s in found if s != 2] for name, found in steps.items()} == {
+        name: [] for name in steps
+    }

@@ -156,7 +156,9 @@ def test_provenance_must_fit_its_kind(kind, delta, exponent):
 def test_builders_record_their_parameter():
     assert threshold_prime_set(0.5, 3) == PrimeSetS((2, 3, 7), "paper", delta=0.5)
     assert power_prime_set(2, 3) == PrimeSetS((3, 5, 11), "power", exponent=2.0)
-    assert PrimeSetS.from_json_dict({"members": [3], "kind": "paper", "delta": 1}).delta == 1
+    assert PrimeSetS.from_json_dict({"members": [2, 5], "kind": "paper", "delta": 1}).delta == 1
+    with pytest.raises(ValueError):  # threshold_prime_set(1, 1) is [2]
+        PrimeSetS.from_json_dict({"members": [3], "kind": "paper", "delta": 1})
 
 
 def test_json_round_trip():
