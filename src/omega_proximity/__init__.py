@@ -8,7 +8,7 @@ from .census import (
     concentration_tail,
     mode_k,
 )
-from .errors import CapacityError, CertificateError, ScaleError
+from .errors import CapacityError, CertificateError
 from .gfunction import GEntry, GFunction, build_g, compute_maximizer
 from .primeset import (
     PrimeSetS,
@@ -54,7 +54,6 @@ __all__ = [
     "PrimeSetS",
     "ProximityReport",
     "ReportRow",
-    "ScaleError",
     "build_g",
     "census",
     "certificate_count",

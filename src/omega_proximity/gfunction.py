@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .budget import DEFAULT_SEGMENT_SIZE
 from .census import census, mode_k
-from .errors import ScaleError
 from .primeset import PrimeSetS, _is_int
 from .sieve import F_TAGS, is_prime
 
@@ -122,25 +121,15 @@ class GFunction:
 
 
 def compute_maximizer(
-    x: int,
+    y: int,
     prime_set: PrimeSetS,
-    index: int,
     f_tag: str = "big_omega",
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> tuple[int, int]:
-    """(level, count) of the busiest f-level among r <= x // member coprime
-    to the whole set, ties resolved toward the smaller level.
-
-    index is 1-based.  Requires member <= x/2 so the restricted range
-    holds more than r = 1; smaller x raises ScaleError.
-    """
-    if not 1 <= index <= len(prime_set.members):
-        raise ValueError(f"index must be in 1..{len(prime_set.members)}, got {index}")
-    prime = prime_set.members[index - 1]
-    if 2 * prime > x:
-        raise ScaleError(f"member {prime} needs x >= {2 * prime}, got x = {x}")
-    return mode_k(census(x // prime, f_tag, restrict=prime_set, segment_size=segment_size, threads=threads))
+    """(level, count) of the busiest f-level among r <= y coprime to the
+    whole set, ties resolved toward the smaller level."""
+    return mode_k(census(y, f_tag, restrict=prime_set, segment_size=segment_size, threads=threads))
 
 
 def build_g(
@@ -152,26 +141,24 @@ def build_g(
 ) -> GFunction:
     """Value every member of the set from its restricted-census maximizer.
 
-    Every member that does not fall back takes value level + 1, one above
-    the busiest level of its restricted census.  Only the bookkeeping level
-    z depends on f and the residue class: z = level + 1 with f = omega;
-    with f = big_omega, z = level + 2 for members 1 mod 4 (value z - 1) and
-    z = level for members 3 mod 4 (value z + 1).
+    Every member p that does not fall back takes value level + 1, one above
+    the busiest level of the r <= x // p coprime to the set.  Only the
+    bookkeeping level z depends on f and the residue class: z = level + 1
+    with f = omega; with f = big_omega, z = level + 2 for members 1 mod 4
+    (value z - 1) and z = level for members 3 mod 4 (value z + 1).
 
     Members above x/2 have no usable restricted range, and with f =
     big_omega the member 2 carries no class; they fall back to value 1
     with fallback=True, and still contribute their own prime as a
     coincidence witness.  Rebuilding at the same (x, set, f) reproduces
-    the same table byte for byte.
+    the same table byte for byte; GFunction refuses an x below 1.
     """
-    if x < 1:
-        raise ValueError(f"build_g requires x >= 1, got {x}")
     entries: list[GEntry] = []
-    for index, (prime, residue) in enumerate(zip(prime_set.members, prime_set.classes), 1):
+    for prime, residue in zip(prime_set.members, prime_set.classes):
         if 2 * prime > x or (f_tag == "big_omega" and prime == 2):
             entries.append(GEntry(prime, 1, None, residue, True))
             continue
-        level, _ = compute_maximizer(x, prime_set, index, f_tag, segment_size, threads)
+        level, _ = compute_maximizer(x // prime, prime_set, f_tag, segment_size, threads)
         z = level + (1 if f_tag == "omega" else 2 if residue == 1 else 0)
         entries.append(GEntry(prime, level + 1, z, residue, False))
     return GFunction(x, prime_set, f_tag, tuple(entries))

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 
+import numpy as np
 import pytest
 
 from omega_proximity import cli, sieve
@@ -167,6 +168,17 @@ def test_verify_fails_a_wrong_tail(tmp_path, capsys, monkeypatch):
     assert "[FAIL] tail-bands" in out
 
 
+def test_verify_fails_a_wrong_g_segment(tmp_path, capsys, monkeypatch):
+    # Capping g at 63 instead of 64 changes no match, as no f(n) reaches 63, so
+    # the full-sweep E agrees; only g per n can tell, at n = 2 * 3 * 5 * 11 * 17 * 29.
+    real = cli._g_segment_values
+    monkeypatch.setattr(cli, "_g_segment_values", lambda *args: np.minimum(real(*args), 63))
+    assert run(["verify", "--x", "2000"], tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "[ ok ] count-lift" in out
+    assert "[FAIL] g-segments" in out
+
+
 def test_verify_validates_g_file(tmp_path, capsys):
     assert run(["construct", "--x", "2000"], tmp_path) == 0
     capsys.readouterr()
@@ -187,16 +199,19 @@ def test_verify_validates_g_file(tmp_path, capsys):
 
 def test_verify_rejects_unreadable_g(tmp_path, capsys):
     junk = tmp_path / "junk.json"
-    for text in ("{broken", "[1, 2]"):
+    # A hand g without x is valid, but has nothing to rebuild from.
+    no_x = json.dumps({"f": "big_omega", "set": {"members": [3, 5]}, "table": [{"prime": 3, "value": 2}]})
+    for text, reason in (("{broken", ""), ("[1, 2]", ""), (no_x, "g file lacks construction provenance")):
         junk.write_text(text)
         assert run(["verify", "--x", "2000", "--g", str(junk)], tmp_path) == 1
-        assert "[FAIL] g-file-integrity: unreadable or inconsistent" in capsys.readouterr().out
+        assert f"[FAIL] g-file-integrity: unreadable or inconsistent: {reason}" in capsys.readouterr().out
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["census", "--x", "0"], tmp_path) == 2
     assert run(["count", "--x", "100", "--g", str(tmp_path / "missing.json")], tmp_path) == 2
     assert run(["construct", "--x", "100", "--count", "0"], tmp_path) == 2
+    assert run(["construct", "--x", "100", "--set", "paper", "--count", "0"], tmp_path) == 2
     with pytest.raises(SystemExit) as exc:
         run(["census", "--x", "10", "--f", "theta"], tmp_path)
     assert exc.value.code == 2
@@ -264,6 +279,32 @@ def test_certificate_check_failure_exit_1(tmp_path, capsys):
     assert not (tmp_path / "certificate_bigomega_x1000.json").exists()
 
 
+def test_certificate_without_set_exit_2(tmp_path, capsys):
+    g_path = tmp_path / "no_set.json"
+    g_path.write_text(json.dumps({"f": "big_omega", "table": [{"prime": 3, "value": 2}]}))
+    assert run(["certificate", "--x", "1000", "--g", str(g_path)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: certificate requires a nonempty prime set (via --g or set flags)"]
+
+
+def test_g_file_hash_covers_its_g_not_its_name(tmp_path, capsys):
+    # One table with sets [3] and [3, 5] gives two L under one file name, and
+    # must hash apart; the second file copied under another name hashes the same.
+    results = []
+    for name, members in (("a/g.json", [3]), ("b/g.json", [3, 5]), ("c/copy.json", [3, 5])):
+        path = tmp_path / name
+        path.parent.mkdir()
+        path.write_text(json.dumps({"f": "big_omega", "set": {"members": members},
+                                    "table": [{"prime": 3, "value": 3}, {"prime": 5, "value": 1}]}))
+        assert run(["certificate", "--x", "10000", "--g", str(path)], path.parent) == 0
+        doc = json.loads((path.parent / "certificate_bigomega_x10000.json").read_text())
+        results.append((doc["L"], doc["config_hash"]))
+    (l_a, hash_a), (l_b, hash_b), copied = results
+    assert (l_a, l_b) == (935, 815)
+    assert hash_a != hash_b
+    assert copied == (l_b, hash_b)
+
+
 def test_capacity_exit_3(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "1")
     assert run(["census", "--x", "2000000"], tmp_path) == 3
@@ -277,13 +318,15 @@ def test_phi_beyond_budget_exit_3(tmp_path, capsys):
 
 def test_phi_prime_count_mismatch_exit_1(tmp_path, capsys, monkeypatch):
     # The sweep's primes must number pi(x): a count one too high is refused
-    # after the sweep, with one error line and no file.
+    # after the sweep, one too low as soon as the sweep passes it, each with
+    # one error line and no file.
     pi = proximity_module.prime_pi
-    monkeypatch.setattr(proximity_module, "prime_pi", lambda x: pi(x) + 1)
-    assert run(["phi", "--x", "100000"], tmp_path) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["error: phi's sweep found 9592 primes up to 100000, but pi(x) = 9593"]
-    assert list(tmp_path.iterdir()) == []
+    for shift in (1, -1):
+        monkeypatch.setattr(proximity_module, "prime_pi", lambda x: pi(x) + shift)
+        assert run(["phi", "--x", "100000"], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: phi's sweep found 9592 primes up to 100000, but pi(x) = {9592 + shift}"]
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_certificate_runs_in_segment_memory(tmp_path, monkeypatch, capsys):
@@ -300,8 +343,9 @@ def test_missing_out_directory_is_created(tmp_path):
 
 
 def test_malformed_budget_exit_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "lots")
-    assert run(["census", "--x", "100"], tmp_path) == 2
+    for budget in ("lots", "0", "-5"):
+        monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", budget)
+        assert run(["census", "--x", "100"], tmp_path) == 2, budget
 
 
 @pytest.mark.parametrize("doc", [

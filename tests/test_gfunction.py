@@ -6,8 +6,8 @@ import random
 
 import pytest
 
+from omega_proximity import gfunction
 from omega_proximity.census import census
-from omega_proximity.errors import ScaleError
 from omega_proximity.gfunction import GEntry, GFunction, build_g, compute_maximizer
 from omega_proximity.primeset import PrimeSetS, power_prime_set, threshold_prime_set
 
@@ -16,7 +16,7 @@ from oracles import eval_g_slow, maximizer_slow
 
 def test_maximizer_single_member():
     s = PrimeSetS((3,))
-    pair = compute_maximizer(100, s, 1, "big_omega")
+    pair = compute_maximizer(100 // 3, s, "big_omega")
     assert pair == (1, 10)
     assert pair == maximizer_slow(100, [3], 1, "big_omega")
 
@@ -26,11 +26,12 @@ def test_maximizer_matches_oracle():
     for x in (200, 997):
         for idx in (1, 2, 3):
             for tag in ("omega", "big_omega"):
-                assert compute_maximizer(x, s, idx, tag) == maximizer_slow(x, list(s.members), idx, tag)
+                p = s.members[idx - 1]
+                assert compute_maximizer(x // p, s, tag) == maximizer_slow(x, list(s.members), idx, tag)
 
 
 def test_maximizer_is_maximal(power_set_5):
-    pair = compute_maximizer(10_000, power_set_5, 2, "big_omega")
+    pair = compute_maximizer(10_000 // 5, power_set_5, "big_omega")
     assert pair == maximizer_slow(10_000, list(power_set_5.members), 2, "big_omega")
     t = census(10_000 // 5, "big_omega", restrict=power_set_5)
     assert pair[1] == max(t.counts.values())
@@ -38,16 +39,8 @@ def test_maximizer_is_maximal(power_set_5):
 
 def test_maximizer_frozen_value():
     s = PrimeSetS((5,))
-    assert compute_maximizer(10_000, s, 1, "big_omega") == (2, 499)
+    assert compute_maximizer(10_000 // 5, s, "big_omega") == (2, 499)
     assert maximizer_slow(10_000, [5], 1, "big_omega") == (2, 499)
-
-
-def test_maximizer_scale_error():
-    s = PrimeSetS((53,))
-    with pytest.raises(ScaleError):
-        compute_maximizer(100, s, 1, "big_omega")
-    with pytest.raises(ValueError):
-        compute_maximizer(100, s, 2, "big_omega")
 
 
 def test_build_g_big_omega_power_set(power_set_5):
@@ -87,6 +80,13 @@ def test_build_g_fallback_for_large_members():
     assert by_prime[61].fallback
     assert by_prime[61].residue_class == 1
     assert not by_prime[3].fallback
+
+
+def test_build_g_refuses_x_below_one(monkeypatch):
+    # Every member falls back, so nothing is swept, and GFunction refuses the x.
+    monkeypatch.setattr(gfunction, "compute_maximizer", lambda *args: pytest.fail("swept"))
+    with pytest.raises(ValueError, match="g x must be None or an integer >= 1, got 0"):
+        build_g(0, power_prime_set(2.0, 5))
 
 
 def test_value_by_divisibility():

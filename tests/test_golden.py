@@ -69,7 +69,7 @@ GOLDEN = {
         ["count", "--x", X, "--g", "{g}"],
         {
             "count_bigomega_x100000.json":
-                "afc87d187bb6a0bc8e584448bc4292ce14194501314e4efe5e2058f9a49a08d4",
+                "196de7c3257438e9874857bc5ee20e7fe1a6b14fa5b33447cae49442629aa4c3",
         },
     ),
     "certificate": (
@@ -117,14 +117,14 @@ GOLDEN = {
         ["count", "--x", X, "--g", "{g-two-off-set}"],
         {
             "count_bigomega_x100000.json":
-                "b953b93e616f81e486d9ec9b833d353301fc758a3c86992dc009d983c99f538e",
+                "8dd2fdea33819964fa49e70fe898c30b666a5fda5f8359085dc388e6d4c47957",
         },
     ),
     "count-omega-g-two-off-set": (
         ["count", "--x", X, "--f", "omega", "--g", "{g-two-off-set}"],
         {
             "count_omega_x100000.json":
-                "eefb452e8d09e1db1041c665d85b23774e6ab3081b83fb83a82085b0197b33e6",
+                "26eb5bd413bf965543028fa54c61dbf468d94b7f5711978ea881992b23a3a6ee",
         },
     ),
     # 2 in the table but not the set: witnesses r * p**a may have r even.
@@ -132,7 +132,7 @@ GOLDEN = {
         ["certificate", "--x", X, "--g", "{g-two-neutral}"],
         {
             "certificate_bigomega_x100000.json":
-                "67a497bccea12a984f8c1d46cf68878bda38eb275b5a2810c049eab350af5de6",
+                "a3af6f1a10884ead8287ae3c1c48266dca9ea1e479eded86573f36a64cfa4099",
         },
     ),
     # 2 in the set with g(2) = 1: the witnesses' r are odd.

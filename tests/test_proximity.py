@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omega_proximity.census import census, concentration_tail, mode_k
+from omega_proximity.census import LevelSnapshots, census, concentration_tail, mode_k
 from omega_proximity.errors import CertificateError
 from omega_proximity.gfunction import GEntry, GFunction, build_g
 from omega_proximity.primeset import PrimeSetS, threshold_prime_set
@@ -107,6 +107,14 @@ def test_certificate_rejects_table_prime_outside_set():
     g = _table_g({3: 2, 5: 3, 7: 2}, (3, 5))
     with pytest.raises(RuntimeError):
         certificate_count(1000, g)
+
+
+def test_certificate_routes_must_agree(monkeypatch):
+    # An r route one too high at every level contradicts the witnesses the n route found.
+    at = LevelSnapshots.at
+    monkeypatch.setattr(LevelSnapshots, "at", lambda self, y: at(self, y) + 1)
+    with pytest.raises(CertificateError, match="certificate routes disagree"):
+        certificate_count(1000, _table_g({3: 2, 5: 3}, (3, 5)))
 
 
 def test_certificate_memory_is_per_segment(power_set_5):
