@@ -94,12 +94,12 @@ def _set_payload(args: argparse.Namespace) -> dict:
 
 def _load_g(path: str) -> GFunction:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return GFunction.from_json_dict(doc)
-    except (KeyError, TypeError, AttributeError) as exc:
-        # A field missing or of the wrong JSON type: bad input, not a bug.
-        raise ValueError(f"malformed g file {path}: {exc!r}") from exc
+        try:
+            return GFunction.from_json_dict(json.load(fh))
+        except (KeyError, TypeError, AttributeError, RecursionError) as exc:
+            # A field missing or of the wrong JSON type, or nesting deeper than
+            # the parser goes: bad input, not a bug.
+            raise ValueError(f"malformed g file {path}: {exc!r}") from exc
 
 
 def _resolve_g(args: argparse.Namespace, x: int, tag: str) -> tuple[GFunction, dict]:
@@ -187,19 +187,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
     payload = {"command": "report", "grid": sorted(set(args.grid)), "f": tag, "eps": args.eps}
     if not args.grid:  # no g is built or read, but eps is checked all the same
-        report = growth_report([], args.eps, tag, GFunction.identity())
+        rows = growth_report([], args.eps, tag, GFunction.identity())
         doc = {"f": tag, "eps": args.eps, "rows": [], "config_hash": config_hash(payload)}
         print("empty grid: wrote header-only report")
     else:
         g, g_payload = _resolve_g(args, max(args.grid), tag)
-        report = growth_report(args.grid, args.eps, tag, g, args.segment_size, args.threads)
-        doc = report_json_dict(report, config_hash({**payload, **g_payload}))
-        for row in report.rows:
+        rows = growth_report(args.grid, args.eps, tag, g, args.segment_size, args.threads)
+        doc = report_json_dict(rows, tag, args.eps, g, config_hash({**payload, **g_payload}))
+        for row in rows:
             print(
                 f"x={row.x} E={row.e_count} L={row.l_count} "
                 f"ratio_E={row.ratio_e:.6f} ratio_L={row.ratio_l:.6f}"
             )
-    _write(args, "report.csv", report_csv_lines(report))
+    _write(args, "report.csv", report_csv_lines(rows, tag, args.eps))
     _write(args, "report.json", doc)
     return 0
 

@@ -35,16 +35,6 @@ class ReportRow:
 
 
 @dataclass(frozen=True)
-class ProximityReport:
-    """Growth table for one g over an ascending grid of x."""
-
-    f_tag: str
-    eps: float
-    g: GFunction
-    rows: tuple[ReportRow, ...]
-
-
-@dataclass(frozen=True)
 class PhiDiagnostics:
     """Prime-power moment sums at scale x.
 
@@ -205,8 +195,9 @@ def growth_report(
     g: GFunction,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
-) -> ProximityReport:
-    """Coincidence and certificate counts with growth ratios over a grid.
+) -> tuple[ReportRow, ...]:
+    """Coincidence and certificate counts with growth ratios, one row per x
+    of the ascending grid.
 
     ratio_e = E * (log log x)**(1/2 + eps) / x, and likewise ratio_l; a
     ratio that stays bounded away from zero as x grows is the empirical
@@ -226,25 +217,27 @@ def growth_report(
         loglogx = math.log(math.log(x))
         scale = loglogx ** (0.5 + eps) / x
         rows.append(ReportRow(x, e_count, l_count, loglogx, e_count * scale, l_count * scale))
-    return ProximityReport(f_tag, eps, g, tuple(rows))
+    return tuple(rows)
 
 
-def report_csv_lines(report: ProximityReport) -> list[str]:
+def report_csv_lines(rows: tuple[ReportRow, ...], f_tag: str, eps: float) -> list[str]:
     lines = ["x,f,E,L,loglogx,eps,ratio_E,ratio_L"]
-    for r in report.rows:
+    for r in rows:
         lines.append(
-            f"{r.x},{report.f_tag},{r.e_count},{r.l_count},"
-            f"{r.loglogx!r},{report.eps!r},{r.ratio_e!r},{r.ratio_l!r}"
+            f"{r.x},{f_tag},{r.e_count},{r.l_count},"
+            f"{r.loglogx!r},{eps!r},{r.ratio_e!r},{r.ratio_l!r}"
         )
     return lines
 
 
-def report_json_dict(report: ProximityReport, config_hash: str) -> dict:
+def report_json_dict(
+    rows: tuple[ReportRow, ...], f_tag: str, eps: float, g: GFunction, config_hash: str
+) -> dict:
     return {
-        "f": report.f_tag,
-        "eps": report.eps,
-        "set": report.g.prime_set.to_json_dict() if report.g.prime_set else None,
-        "g": report.g.to_json_dict(),
+        "f": f_tag,
+        "eps": eps,
+        "set": g.prime_set.to_json_dict() if g.prime_set else None,
+        "g": g.to_json_dict(),
         "rows": [
             {
                 "x": r.x,
@@ -254,7 +247,7 @@ def report_json_dict(report: ProximityReport, config_hash: str) -> dict:
                 "ratio_E": r.ratio_e,
                 "ratio_L": r.ratio_l,
             }
-            for r in report.rows
+            for r in rows
         ],
         "config_hash": config_hash,
     }

@@ -60,7 +60,7 @@ def g_at_top(power_set_5):
 
 
 @pytest.fixture(scope="module")
-def full_report(g_at_top):
+def report_rows(g_at_top):
     return growth_report(list(GRID), 0.1, "big_omega", g_at_top)
 
 
@@ -261,12 +261,11 @@ def test_c08_count_matches_naive_loop(power_set_5):
     assert ok
 
 
-def test_c09_growth_report_ratios(full_report):
-    rows = full_report.rows
-    ok = all(r.ratio_l > 0 for r in rows) and all(r.ratio_e >= r.ratio_l for r in rows)
-    detail = "; ".join(f"x={r.x:.0e} ratio_E={r.ratio_e:.4f} ratio_L={r.ratio_l:.4f}" for r in rows)
+def test_c09_growth_report_ratios(report_rows):
+    ok = all(r.ratio_l > 0 for r in report_rows) and all(r.ratio_e >= r.ratio_l for r in report_rows)
+    detail = "; ".join(f"x={r.x:.0e} ratio_E={r.ratio_e:.4f} ratio_L={r.ratio_l:.4f}" for r in report_rows)
     line("growth-ratios", ok, detail)
-    assert len(rows) == 4
+    assert len(report_rows) == 4
     assert ok
 
 

@@ -1,18 +1,17 @@
 """Command-line front end, file outputs, and exit codes."""
 
 import hashlib
-import importlib
 import json
 
 import numpy as np
 import pytest
 
-from omega_proximity import cli, sieve
+from omega_proximity import census as census_module, cli, proximity as proximity_module, sieve
 from omega_proximity.cli import main
 
-# The package re-exports the function census under the module's name.
-census_module = importlib.import_module("omega_proximity.census")
-proximity_module = importlib.import_module("omega_proximity.proximity")
+
+# Nested past the JSON parser's recursion limit.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
 def run(argv, tmp_path):
@@ -201,7 +200,9 @@ def test_verify_rejects_unreadable_g(tmp_path, capsys):
     junk = tmp_path / "junk.json"
     # A hand g without x is valid, but has nothing to rebuild from.
     no_x = json.dumps({"f": "big_omega", "set": {"members": [3, 5]}, "table": [{"prime": 3, "value": 2}]})
-    for text, reason in (("{broken", ""), ("[1, 2]", ""), (no_x, "g file lacks construction provenance")):
+    texts = (("{broken", ""), ("[1, 2]", ""), (DEEP_JSON, "malformed g file"),
+             (no_x, "g file lacks construction provenance"))
+    for text, reason in texts:
         junk.write_text(text)
         assert run(["verify", "--x", "2000", "--g", str(junk)], tmp_path) == 1
         assert f"[FAIL] g-file-integrity: unreadable or inconsistent: {reason}" in capsys.readouterr().out
@@ -311,7 +312,7 @@ def test_capacity_exit_3(tmp_path, monkeypatch):
 
 
 def test_phi_beyond_budget_exit_3(tmp_path, capsys):
-    # The 1/p buffer alone would need hundreds of GB: refused before any sweep.
+    # phi's leaf sums alone would need about 21 GB: refused before any sweep.
     assert run(["phi", "--x", "1000000000000"], tmp_path) == 3
     assert "phi diagnostics needs about" in capsys.readouterr().err
 
@@ -348,16 +349,17 @@ def test_malformed_budget_exit_2(tmp_path, monkeypatch):
         assert run(["census", "--x", "100"], tmp_path) == 2, budget
 
 
-@pytest.mark.parametrize("doc", [
-    {"f": "big_omega"},
-    {"table": [{"prime": 3}]},
-    {"table": 5},
-    [1, 2],
-], ids=["no-table", "row-without-value", "table-not-a-list", "not-an-object"])
+@pytest.mark.parametrize("text", [
+    json.dumps({"f": "big_omega"}),
+    json.dumps({"table": [{"prime": 3}]}),
+    json.dumps({"table": 5}),
+    json.dumps([1, 2]),
+    DEEP_JSON,
+], ids=["no-table", "row-without-value", "table-not-a-list", "not-an-object", "nested-too-deep"])
 @pytest.mark.parametrize("command", ["count", "certificate", "report"])
-def test_malformed_g_file_exit_2(tmp_path, capsys, doc, command):
+def test_malformed_g_file_exit_2(tmp_path, capsys, text, command):
     g_path = tmp_path / "g.json"
-    g_path.write_text(json.dumps(doc))
+    g_path.write_text(text)
     scale = ["--grid", "1000"] if command == "report" else ["--x", "1000"]
     assert run([command, *scale, "--g", str(g_path)], tmp_path) == 2
     err = capsys.readouterr().err

@@ -170,22 +170,22 @@ def test_certificate_requires_table_values(power_set_5):
 
 def test_growth_report_shape(power_set_5):
     g = build_g(10_000, power_set_5, "big_omega")
-    rep = growth_report([10_000, 100, 10_000], 0.1, "big_omega", g)
-    assert [r.x for r in rep.rows] == [100, 10_000]
-    row = rep.rows[1]
+    rows = growth_report([10_000, 100, 10_000], 0.1, "big_omega", g)
+    assert [r.x for r in rows] == [100, 10_000]
+    row = rows[1]
     assert row.e_count == 2728
     assert row.l_count == 1301
     scale = math.log(math.log(10_000)) ** 0.6 / 10_000
     assert math.isclose(row.ratio_e, 2728 * scale, rel_tol=1e-15)
     assert math.isclose(row.ratio_l, 1301 * scale, rel_tol=1e-15)
-    assert all(r.l_count <= r.e_count for r in rep.rows)
+    assert all(r.l_count <= r.e_count for r in rows)
 
 
 def test_growth_report_without_set():
-    rep = growth_report([100], 0.1, "big_omega", GFunction.identity())
-    assert rep.rows[0].e_count == 25
-    assert rep.rows[0].l_count == 0
-    assert rep.rows[0].ratio_l == 0.0
+    rows = growth_report([100], 0.1, "big_omega", GFunction.identity())
+    assert rows[0].e_count == 25
+    assert rows[0].l_count == 0
+    assert rows[0].ratio_l == 0.0
 
 
 def test_growth_report_validation(power_set_5):
@@ -198,27 +198,27 @@ def test_growth_report_validation(power_set_5):
 
 def test_report_csv_format(power_set_5):
     g = build_g(10_000, power_set_5, "big_omega")
-    rep = growth_report([100], 0.25, "big_omega", g)
-    lines = report_csv_lines(rep)
+    rows = growth_report([100], 0.25, "big_omega", g)
+    lines = report_csv_lines(rows, "big_omega", 0.25)
     assert lines[0] == "x,f,E,L,loglogx,eps,ratio_E,ratio_L"
     cells = lines[1].split(",")
     assert cells[0] == "100"
     assert cells[1] == "big_omega"
-    assert cells[2] == str(rep.rows[0].e_count)
+    assert cells[2] == str(rows[0].e_count)
     assert cells[4] == repr(math.log(math.log(100)))
     assert cells[5] == "0.25"
 
 
 def test_report_json_payload(power_set_5):
     g = build_g(10_000, power_set_5, "big_omega")
-    rep = growth_report([100], 0.1, "big_omega", g)
-    d = report_json_dict(rep, "deadbeef")
+    rows = growth_report([100], 0.1, "big_omega", g)
+    d = report_json_dict(rows, "big_omega", 0.1, g, "deadbeef")
     assert d["config_hash"] == "deadbeef"
     assert d["set"]["members"] == [3, 5, 11, 17, 29]
     assert d["g"]["table"][0]["prime"] == 3
     assert d["rows"][0]["x"] == 100
-    assert d["rows"][0]["E"] == rep.rows[0].e_count
-    assert d["rows"][0]["L"] == rep.rows[0].l_count
+    assert d["rows"][0]["E"] == rows[0].e_count
+    assert d["rows"][0]["L"] == rows[0].l_count
 
 
 def test_phi_small_exact():
