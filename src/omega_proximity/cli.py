@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import bisect
-import hashlib
 import json
 import math
 import os
@@ -19,6 +18,14 @@ import random
 import sys
 
 import numpy as np
+
+try:  # CPython's built-in SHA-256 (_sha2 from 3.12): hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # built without it (Fedora and RHEL keep only blake2)
+        from hashlib import sha256
 
 from .budget import DEFAULT_SEGMENT_SIZE
 from .census import (
@@ -45,6 +52,7 @@ from .proximity import (
     phi_diagnostics,
     phi_json_dict,
     report_csv_lines,
+    report_grid,
     report_json_dict,
 )
 from .sieve import LEVEL_CEILING, MAX_X, factorize, iter_factor_segments, prime_pi
@@ -55,7 +63,7 @@ DEFAULT_GRID = "10000,100000,1000000,10000000"
 
 def config_hash(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def sweep_bound(raw: str) -> int:
@@ -185,14 +193,14 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     tag = F_FLAG[args.f]
-    payload = {"command": "report", "grid": sorted(set(args.grid)), "f": tag, "eps": args.eps}
-    if not args.grid:  # no g is built or read, but eps is checked all the same
-        rows = growth_report([], args.eps, tag, GFunction.identity())
-        doc = {"f": tag, "eps": args.eps, "rows": [], "config_hash": config_hash(payload)}
+    grid = report_grid(args.grid, args.eps)  # before g is built or read
+    payload = {"command": "report", "grid": grid, "f": tag, "eps": args.eps}
+    if not grid:
+        rows, doc = (), {"f": tag, "eps": args.eps, "rows": [], "config_hash": config_hash(payload)}
         print("empty grid: wrote header-only report")
     else:
-        g, g_payload = _resolve_g(args, max(args.grid), tag)
-        rows = growth_report(args.grid, args.eps, tag, g, args.segment_size, args.threads)
+        g, g_payload = _resolve_g(args, grid[-1], tag)
+        rows = growth_report(grid, args.eps, tag, g, args.segment_size, args.threads)
         doc = report_json_dict(rows, tag, args.eps, g, config_hash({**payload, **g_payload}))
         for row in rows:
             print(

@@ -188,6 +188,16 @@ def certificate_count(
     return count, found
 
 
+def report_grid(x_grid: list[int], eps: float) -> list[int]:
+    """The grid ascending without repeats, once eps > 0 is finite and every x >= 16."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    grid = sorted({int(v) for v in x_grid})
+    if grid and grid[0] < 16:
+        raise ValueError(f"grid values must be >= 16, got {grid[0]}")
+    return grid
+
+
 def growth_report(
     x_grid: list[int],
     eps: float,
@@ -204,14 +214,8 @@ def growth_report(
     signature the construction aims for.  g stays fixed across the grid,
     and L counts the witnesses over g.prime_set (0 without one).
     """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    grid = sorted({int(v) for v in x_grid})
-    for v in grid:
-        if v < 16:
-            raise ValueError(f"grid values must be >= 16, got {v}")
     rows = []
-    for x in grid:
+    for x in report_grid(x_grid, eps):
         e_count = coincidence_count(x, f_tag, g, segment_size, threads)
         l_count, _ = certificate_count(x, g, f_tag, segment_size, threads)
         loglogx = math.log(math.log(x))
@@ -271,27 +275,26 @@ class _PairwiseSum:
             lens = np.repeat(lens, split + 1)
             lens[right - 1] = half
             lens[right] -= half
-        self.ends, self.lens = np.cumsum(lens), lens.astype(np.uint8)  # the leaves in array order
+        self.lens = lens.astype(np.uint8)  # the leaves in array order
         self.sizes = np.flatnonzero(np.bincount(lens)).tolist()  # the distinct leaf lengths
         self.sums = np.empty((2, len(lens)))
         self.fed = self.done = 0
         self.carry = np.empty(0)  # the values of leaves not yet whole
 
     def add(self, values: np.ndarray) -> None:
-        buf = np.concatenate((self.carry, values))
-        base = self.fed - len(self.carry)  # position of buf[0]
+        buf = np.concatenate((self.carry, values))  # from the start of leaf done
         self.fed += len(values)
-        stop = int(np.searchsorted(self.ends, self.fed, "right"))  # leaves done..stop are whole
-        lens = self.lens[self.done : stop]
-        starts = self.ends[self.done : stop] - lens - base
+        lens = self.lens[self.done : self.done + len(buf) // 64 + 1]  # past buf: leaves hold >= 64
+        ends = np.cumsum(lens)  # where each of these leaves ends in buf
+        whole = int(np.searchsorted(ends, len(buf), "right"))  # leaves done..done + whole are whole
         for m in self.sizes:
-            pick = np.flatnonzero(lens == m)
+            pick = np.flatnonzero(lens[:whole] == m)
             if len(pick):  # the leaves of m values, one per row
-                rows = np.lib.stride_tricks.sliding_window_view(buf, m)[starts[pick]]
+                rows = np.lib.stride_tricks.sliding_window_view(buf, m)[ends[pick] - m]
                 self.sums[0, self.done + pick] = rows.sum(axis=1)
                 self.sums[1, self.done + pick] = np.subtract(1.0, rows, out=rows).sum(axis=1)
-        self.carry = buf[self.ends[stop - 1] - base if stop else 0 :].copy()
-        self.done = stop
+        self.carry = buf[ends[whole - 1] if whole else 0 :].copy()
+        self.done += whole
 
     def totals(self) -> tuple[float, float]:
         """(sum of v, sum of 1 - v) once all n values are in, level by level up the tree."""
@@ -324,9 +327,8 @@ def phi_diagnostics(
     if x < 2:
         raise ValueError(f"phi_diagnostics requires x >= 2, got {x}")
     segments = iter_factor_segments(1, x + 1, segment_size, threads, f_tag, 2)  # checks x first
-    # Leaves hold at least 64 of the pi(x) < 1.25506 x / ln x values (Rosser-Schoenfeld); each
-    # keeps two float sums, an int64 end, a length byte and about two split flags.  prime_pi
-    # checks its own tables, which are gone before the leaves exist.
+    # Leaves hold at least 64 of the pi(x) < 1.25506 x / ln x values (Rosser-Schoenfeld); each keeps
+    # two float sums, a length byte and split flags; prime_pi's tables go before the leaves exist.
     leaves = int(1.25506 * x / math.log(x)) // 64 + 1
     require_budget(32 * leaves + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
     n = prime_pi(x)

@@ -1,7 +1,12 @@
 """Command-line front end, file outputs, and exit codes."""
 
 import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,16 +230,29 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ["construct", "--x", "1000", "--set", "power", "--param", "inf"],
     ["report", "--grid=", "--eps", "-1"],
     ["construct", "--x", "1000", "--set", "paper", "--delta", "2000"],
-], ids=["eps-nan", "eps-inf", "delta-nan", "param-inf", "empty-grid-eps-negative", "delta-overflow"])
-def test_bad_float_flags_exit_2(tmp_path, capsys, argv):
+    ["report", "--grid", "20000000", "--eps", "0"],
+    ["report", "--grid", "8,20000000"],
+], ids=["eps-nan", "eps-inf", "delta-nan", "param-inf", "empty-grid-eps-negative", "delta-overflow",
+        "eps-zero", "grid-below-16"])
+def test_bad_float_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
     # JSON has no NaN or infinity, and an infinite or huge exponent overflows
-    # the set builder's float power: refused before any file is written.
+    # the set builder's float power: refused before any file is written.  The
+    # report's eps and grid are refused before g is built at the largest x.
+    calls, real = [], sieve.iter_factor_segments
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (sieve, census_module, proximity_module, cli):
+        monkeypatch.setattr(module, "iter_factor_segments", counting)
     out = tmp_path / "out"
     assert run(argv, out) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert list(out.iterdir()) == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -440,3 +458,42 @@ def test_x_beyond_int64_sweep_exit_2(tmp_path, capsys, monkeypatch, command):
         run([*command, *scale], tmp_path)
     assert exc.value.code == 2
     assert f"must be <= {2**63 - 2}" in capsys.readouterr().err
+
+
+HASH_PAYLOADS = [
+    {"command": "census", "x": 100, "f": "omega"},
+    {"command": "report", "grid": [], "f": "big_omega", "eps": 0.1},
+    {"command": "construct", "x": 1000, "f": "big_omega", "set": "paper", "count": 5,
+     "delta": 0.5, "param": 2.0, "note": "Ω(n) ≤ g(n) · √x"},
+    {"command": "count", "x": 10000, "f": "big_omega", "g": {
+        "x": 10000, "f": "big_omega",
+        "set": {"kind": "power", "members": [3, 5, 11, 17, 29], "exponent": 2.0},
+        "table": [{"prime": 3, "value": 2, "class": 3, "z": 1, "fallback": False}],
+    }},
+]
+
+
+def _canonical_sha256(payload):
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("payload", HASH_PAYLOADS, ids=["census", "empty-report", "non-ascii", "nested-g"])
+def test_config_hash_is_sha256_of_canonical_json(payload):
+    assert cli.config_hash(payload) == _canonical_sha256(payload)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None, reason="hashlib has no OpenSSL")
+def test_config_hash_fallback_to_hashlib_agrees():
+    # Without the built-in SHA-256 modules, cli takes hashlib's, with the same digests.
+    child = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from omega_proximity import cli
+assert cli.sha256 is hashlib.sha256
+print(json.dumps([cli.config_hash(p) for p in json.loads(sys.argv[1])]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", child, json.dumps(HASH_PAYLOADS)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [_canonical_sha256(p) for p in HASH_PAYLOADS]

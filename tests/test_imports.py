@@ -1,18 +1,25 @@
-"""Lint checks on the package's syntax trees.
+"""Lint checks on the package's syntax trees, and what a run loads.
 
 Every name a package module imports is used by that module, the package
-module itself imports nothing, the CLI's one writer is the only code that
-writes a file, and the library sweeps only the odd n.
-No linter ships with the project, so these walk each module's syntax tree
-instead.
+module itself imports nothing, no module loads OpenSSL, the CLI's one
+writer is the only code that writes a file, and the library sweeps only
+the odd n.  No linter ships with the project, so these walk each module's
+syntax tree instead; a child process checks that no subcommand loads
+OpenSSL's bindings.
 """
 
 import ast
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "omega_proximity"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "omega_proximity"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # Methods that write a file whatever their receiver: pathlib's and numpy's.
 WRITING_METHODS = {"write_text", "write_bytes", "tofile", "save", "savez", "savetxt"}
@@ -43,6 +50,75 @@ def test_package_module_imports_nothing():
     # package module re-exports nothing and cannot shadow a submodule.
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+
+
+# Standard modules that import OpenSSL's bindings (_hashlib or _ssl) when imported.
+OPENSSL_MODULES = {"hashlib", "hmac", "ssl", "secrets", "uuid"}
+
+
+def _unguarded_openssl_imports(tree: ast.Module) -> list[str]:
+    """The OpenSSL modules tree imports other than in an `except ImportError:`
+    handler, where one may stand in for a built-in the interpreter lacks."""
+    guarded = {
+        id(node)
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and getattr(handler.type, "id", None) == "ImportError"
+        for node in ast.walk(handler)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in guarded:
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module.split(".")[0])
+    return sorted(set(found) & OPENSSL_MODULES)
+
+
+def test_no_module_imports_openssl():
+    # hashlib maps libcrypto, about 3.3 MB resident: config_hash uses the
+    # interpreter's built-in SHA-256 and falls back to hashlib only without it.
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _unguarded_openssl_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
+# Every subcommand on a tiny input, then the OpenSSL bindings that were loaded.
+SUBCOMMANDS_CHILD = """
+import json, os, sys
+from omega_proximity.cli import main
+out = ["--out", sys.argv[1]]
+g = os.path.join(sys.argv[1], "g.json")
+runs = [
+    ["census", "--x", "100"],
+    ["construct", "--x", "1000"],
+    ["count", "--x", "1000", "--g", g],
+    ["certificate", "--x", "1000"],
+    ["report", "--grid", "100,1000"],
+    ["verify", "--x", "100"],
+    ["phi", "--x", "100"],
+]
+codes = [main([*argv, *out]) for argv in runs]
+print(json.dumps({"codes": codes, "loaded": sorted({"_hashlib", "_ssl", "ssl"} & set(sys.modules))}))
+"""
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
+    reason="interpreter has no built-in SHA-256, so config_hash falls back to hashlib",
+)
+def test_no_subcommand_loads_openssl(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", SUBCOMMANDS_CHILD, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 7, "loaded": []}
 
 
 def _file_writes(node: ast.AST, where: str = "<module>") -> list[str]:
