@@ -2,8 +2,8 @@
 
 All range computations run segment by segment.  Peak memory is estimated as
 bytes-per-integer times the largest live array span, plus the tables a
-computation sizes by its bound (a prime sieve's flags, prime_pi's int64
-tables of sqrt(x) entries, phi's sums for at most pi(x)/64 + 1 leaves),
+computation sizes by its bound (a prime sieve's flags, the 2 sqrt(x) rows of
+the prime count's and the level tables, phi's sums for pi(x)/64 + 1 leaves),
 and checked against a budget in MB, taken from the OMEGA_PROXIMITY_BUDGET
 environment variable (default 2048).  The estimate is deliberately coarse;
 it exists to turn runaway requests into a clean CapacityError instead of

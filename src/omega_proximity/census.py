@@ -17,7 +17,7 @@ import numpy as np
 
 from .budget import DEFAULT_SEGMENT_SIZE
 from .primeset import PrimeSetS, coprime_mask
-from .sieve import LEVEL_CEILING, FactorCensus, iter_factor_segments, prime_power_level
+from .sieve import LEVEL_CEILING, FactorCensus, iter_factor_segments, level_tables, prime_power_level
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,7 @@ def mode_k(table: CensusTable) -> tuple[int, int]:
     return k_star, best
 
 
-def concentration_tail(
-    x: int,
-    delta: float,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
-) -> int:
+def concentration_tail(x: int, delta: float) -> int:
     """#{2 <= n <= x : |omega(n) - log log n| > (log log x)**(1 + delta)}.
 
     n = 1 is excluded (log log 1 is undefined); n = 2 is included, where
@@ -158,8 +153,9 @@ def concentration_tail(
     is false, as log log n grows, for the n at level k >= 1 in a band
     [a_k, b_k]: each cut is a bisection over 2..x of the test, computed as for
     one n (the closed form exp(exp(k -+ T)) overflows).  The tail is the sum
-    over k of pi_k(x) - (pi_k(b_k) - pi_k(a_k - 1)), read from one sweep of
-    the odd n.  Whole levels enter and leave the count at the cuts, so
+    over k of pi_k(x) - (pi_k(b_k) - pi_k(a_k - 1)), read with no sweep from
+    the last row of the level tables at each cut, one table at a time.  Whole
+    levels enter and leave the count at the cuts, so
     tail(x)/x is not monotone in x (33/10^4 but 74619/10^7 at delta = 0.1).
     What is guaranteed is the Chebyshev bound
     tail(x) <= sum over 2 <= n <= x of (omega(n) - log log n)**2 / T**2,
@@ -173,18 +169,14 @@ def concentration_tail(
     ns = range(2, x + 1)
     bands = {}  # k: (a_k, b_k)
     for k in range(1, x.bit_length()):  # omega(n) <= log2 n
-        # log log n - k is -(k - log log n) exactly, as a segment computes it, so
+        # log log n - k is -(k - log log n) exactly, as the per-n test computes it, so
         # abs(k - log log n) > threshold holds below a_k and above b_k.
         rise = lambda n: np.log(np.log(np.float64(n))) - k
         bands[k] = (2 + bisect.bisect_left(ns, -threshold, key=rise),
                     1 + bisect.bisect_right(ns, threshold, key=rise))
     ys = {x, *(y for a, b in bands.values() for y in (a - 1, b))}
-    hists = LevelSnapshots(ys, "omega", False)
-    for seg in iter_factor_segments(1, x + 1, segment_size, threads, "omega", 2):
-        hists.add(seg, seg.f)
-        del seg  # the view holds its block, which goes before the next is sieved
-    at = {y: hists.at(y) for y in ys}
-    return sum(int(at[x][k] - at[b][k] + at[a - 1][k]) for k, (a, b) in bands.items())
+    pi = {y: level_tables(y, "omega")[1][-1].tolist() + [0] * x.bit_length() for y in ys}  # 0 past the top
+    return sum(pi[x][k] - pi[b][k] + pi[a - 1][k] for k, (a, b) in bands.items())
 
 
 def census_csv_lines(table: CensusTable) -> list[str]:

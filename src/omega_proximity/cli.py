@@ -10,7 +10,6 @@ domain error, 3 capacity (memory budget) error.
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import math
 import os
@@ -28,22 +27,10 @@ except ImportError:
         from hashlib import sha256
 
 from .budget import DEFAULT_SEGMENT_SIZE
-from .census import (
-    add_level_counts,
-    census,
-    census_csv_lines,
-    census_metadata,
-    concentration_tail,
-    mode_k,
-)
+from .census import census, census_csv_lines, census_metadata, concentration_tail, mode_k
 from .errors import CapacityError, CertificateError
 from .gfunction import GEntry, GFunction, build_g
-from .primeset import (
-    PrimeSetS,
-    coprime_count_inclusion_exclusion,
-    power_prime_set,
-    threshold_prime_set,
-)
+from .primeset import PrimeSetS, power_prime_set, threshold_prime_set
 from .proximity import (
     _g_segment_values,
     certificate_count,
@@ -55,7 +42,7 @@ from .proximity import (
     report_grid,
     report_json_dict,
 )
-from .sieve import LEVEL_CEILING, MAX_X, factorize, iter_factor_segments, prime_pi
+from .sieve import F_TAGS, LEVEL_CEILING, MAX_X, factorize, iter_factor_segments, level_tables
 
 F_FLAG = {"omega": "omega", "bigomega": "big_omega"}
 DEFAULT_GRID = "10000,100000,1000000,10000000"
@@ -230,49 +217,41 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     threads = args.threads
     checks: list[tuple[str, bool, str]] = []
 
-    # Unrestricted censuses partition 1..x.
-    t_omega = census(x, "omega", segment_size=seg, threads=threads)
-    t_big = census(x, "big_omega", segment_size=seg, threads=threads)
-    ok = t_omega.total() == x and t_big.total() == x
-    checks.append(("census-partition", ok, f"totals at x={x}"))
-
-    # Level 1 against the prime count, which sweeps nothing: the primes for big_omega, and
-    # for omega the prime powers p**a, p <= floor(x**(1/a)) = the largest r with r**a <= x.
-    roots = [bisect.bisect(range(x + 1), x, key=lambda r: r**a) - 1 for a in range(2, x.bit_length())]
-    pi = prime_pi(x)
-    powers = pi + sum(prime_pi(r) for r in roots)
-    ok = t_big.get(1) == pi and t_omega.get(1) == powers
-    checks.append(("prime-count", ok, f"pi(x) = {pi}, prime powers {powers} at x={x}"))
+    # Each census, of all n and of those coprime to the power set, against the level tables'
+    # last row, which Lucy's recurrence counts with no sweep and no prime table past sqrt(x).
+    pset = power_prime_set(2.0, 5)
+    ok = all(
+        census(x, tag, s, seg, threads).counts
+        == {k: int(c) for k, c in enumerate(level_tables(x, tag, s.members if s else ())[1][-1]) if c}
+        for tag in F_TAGS for s in (None, pset)
+    )
+    checks.append(("census-tables", ok, f"census = level tables at x={x}, both tags, restricted or not"))
 
     # One full sweep per tag: its first entries against per-n trial division, and odd
-    # sweeps lifted to every n against it: census, and E for g(2) = 1, 2.
+    # sweeps lifted to every n against it: E for g(2) = 1, 2.
     span = min(x, 10_000)
     factors = [factorize(n) for n in range(1, span + 1)]
-    pset = power_prime_set(2.0, 5)
     g = build_g(x, pset, "big_omega", seg, threads)
     g_two = GFunction(None, None, "big_omega", (GEntry(2, 2, None, None, False), *g.entries))
     # The omega sweep also counts the tail per n >= 2: |omega(n) - log log n| > (log log x)**1.1.
     threshold = math.log(math.log(x)) ** 1.1 if x >= 3 else None
-    sieve_ok = lift_ok = count_ok = True
+    sieve_ok = count_ok = True
     tail = 0
-    for t in (t_omega, t_big):
-        hist, direct, head = np.zeros(LEVEL_CEILING, dtype=np.int64), np.zeros(2, dtype=np.int64), []
-        for s in iter_factor_segments(1, x + 1, seg, threads, t.f_tag):
+    for tag in F_TAGS:  # big_omega last: certificate-soundness reads its E
+        direct, head = np.zeros(2, dtype=np.int64), []
+        for s in iter_factor_segments(1, x + 1, seg, threads, tag):
             head += s.f[: max(span + 1 - s.lo, 0)].tolist()
-            add_level_counts(hist, s.f)
             direct += [np.count_nonzero(s.f == _g_segment_values(gg, s.lo, s.hi)) for gg in (g, g_two)]
-            if t is t_omega and threshold is not None:
+            if tag == "omega" and threshold is not None:
                 dev = np.log(np.log(np.arange(max(s.lo, 2), s.hi, dtype=np.float64)))
                 tail += int(np.count_nonzero(np.abs(s.f[max(2 - s.lo, 0) :] - dev) > threshold))
-        sieve_ok &= head == [len(set(fs)) if t is t_omega else len(fs) for fs in factors]
-        lift_ok &= t.counts == {k: int(c) for k, c in enumerate(hist) if c}
-        e_counts = [coincidence_count(x, t.f_tag, gg, seg, threads) for gg in (g, g_two)]
+        sieve_ok &= head == [len(set(fs)) if tag == "omega" else len(fs) for fs in factors]
+        e_counts = [coincidence_count(x, tag, gg, seg, threads) for gg in (g, g_two)]
         count_ok &= direct.tolist() == e_counts
     checks.insert(0, ("sieve-vs-factorization", sieve_ok, f"all n in [1, {span}]"))
-    checks.append(("census-lift", lift_ok, f"odd sweep lifted = full sweep at x={x}, both tags"))
     checks.append(("count-lift", count_ok, f"E lifted = full-sweep E at x={x}, both tags, g(2) = 1, 2"))
     if threshold is not None:
-        banded = concentration_tail(x, 0.1, seg, threads)
+        banded = concentration_tail(x, 0.1)
         checks.append(("tail-bands", tail == banded, f"per-n tail {tail} = banded tail {banded}"))
 
     # Known small values.
@@ -280,12 +259,6 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     e100 = coincidence_count(100, "big_omega", GFunction.identity())
     ok = t100.get(1) == 35 and e100 == 25
     checks.append(("level-counts-at-100", ok, "35 one-prime levels, 25 identity matches"))
-
-    # The restricted census total, counted by marking, matches inclusion-exclusion.
-    t_res = census(x, "big_omega", pset, seg, threads)
-    cc = coprime_count_inclusion_exclusion(x, pset.members)
-    ok = t_res.total() == cc
-    checks.append(("restricted-partition", ok, f"coprime total {cc}"))
 
     # Certificate soundness end to end.
     l_count, _ = certificate_count(x, g, "big_omega", seg, threads)

@@ -1,9 +1,8 @@
 """Sparse prime sets with mod-4 residue tags.
 
 Responsibility: build the two sparse set families used by the g
-constructions, and compute their reciprocal sums, coprime density, the
-coprime mask the restricted census counts with, and exact coprime counts
-by inclusion-exclusion, the independent check on that census.
+constructions, and compute their reciprocal sums, coprime density, and the
+coprime mask the restricted census counts with.
 """
 
 from __future__ import annotations
@@ -159,27 +158,4 @@ def coprime_mask(lo: int, hi: int, members: Sequence[int], step: int = 1) -> np.
         if step % m:
             mask[(m - lo) % (step * m) // step :: m] = False  # from the first multiple in range
     return mask
-
-
-def coprime_count_inclusion_exclusion(y: int, members: Sequence[int]) -> int:
-    """Exact #{n <= y : gcd(n, prod members) = 1} as a signed sum of
-    floor(y/d) over squarefree divisors d of the member product.
-
-    It never marks a range, so it checks the total of a census restricted
-    to the same set independently of coprime_mask.
-    """
-    if y < 0:
-        raise ValueError(f"coprime_count_inclusion_exclusion requires y >= 0, got {y}")
-
-    def signed(limit: int, idx: int) -> int:
-        # integers <= limit coprime to members[idx:]
-        total = limit
-        for i in range(idx, len(members)):
-            q = limit // members[i]
-            if q == 0:
-                break
-            total -= signed(q, i + 1)
-        return total
-
-    return signed(y, 0)
 

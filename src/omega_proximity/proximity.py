@@ -189,12 +189,17 @@ def certificate_count(
 
 
 def report_grid(x_grid: list[int], eps: float) -> list[int]:
-    """The grid ascending without repeats, once eps > 0 is finite and every x >= 16."""
+    """The grid ascending without repeats, once eps > 0 is finite, every x >= 16
+    and the rows' scale (log log x)**(1/2 + eps) is a float."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     grid = sorted({int(v) for v in x_grid})
     if grid and grid[0] < 16:
         raise ValueError(f"grid values must be >= 16, got {grid[0]}")
+    try:  # log log x > 1 from x = 16, so the largest x has the largest scale
+        grid and math.log(math.log(grid[-1])) ** (0.5 + eps)
+    except OverflowError:
+        raise ValueError(f"eps = {eps} overflows (log log x)**(1/2 + eps) at x = {grid[-1]}") from None
     return grid
 
 

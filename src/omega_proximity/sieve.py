@@ -17,7 +17,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,23 +95,20 @@ def primes_up_to(limit: int) -> PrimeList:
     return PrimeList(limit, primes)
 
 
-def prime_pi(x: int) -> int:
-    """pi(x), the number of primes p <= x, with no prime table up to x.
-
-    Legendre's recurrence over the values v = x // k (Lucy's form; see
-    Lagarias, Miller and Odlyzko, Math. Comp. 44, 1985): S(v) starts at
-    v - 1, and each prime p <= sqrt(x) in turn takes S(v // p) - S(p - 1)
-    from every S(v) with v >= p * p, reading the values before the step.
-    About x**(3/4) operations on int64 tables of sqrt(x) entries.
+def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The distinct values v = x // k (x >= 1) ascending and pi(v) at each, as
+    int64, and the primes up to sqrt(x), by Legendre's recurrence in Lucy's
+    form (Lagarias, Miller and Odlyzko, Math. Comp. 44, 1985): S(v) starts at
+    v - 1, and each prime p <= sqrt(x) in turn takes S(v // p) - S(p - 1) from
+    every S(v) with v >= p * p, read before the step.  About x**(3/4) steps.
     """
-    if x < 2:
-        return 0
     r = math.isqrt(x)
     require_budget(48 * (r + 1), "prime count")  # three tables and a step's temporaries
     ks = np.arange(r + 1, dtype=np.int64)
     small = ks - 1  # small[v] = S(v) for v <= r
     large = x // ks.clip(1) - 1  # large[k] = S(x // k) for 1 <= k <= r
-    for p in primes_up_to(max(r, 2)).primes.tolist():
+    primes = primes_up_to(r).primes.tolist() if r >= 2 else []
+    for p in primes:
         sp = int(small[p - 1])  # pi(p - 1) once the smaller primes' steps are done
         m = min(r, x // (p * p))  # large[k] with x // k >= p * p
         j = min(m, r // p)  # x // (k p) is large[k p] for k <= j, a small entry above
@@ -119,7 +116,64 @@ def prime_pi(x: int) -> int:
         large[j + 1 : m + 1] -= small[x // (ks[j + 1 : m + 1] * p)] - sp
         if p * p <= r:
             small[p * p :] -= small[ks[p * p :] // p] - sp
-    return int(large[1])
+    top = r - (x // r == r)  # x // k > r exactly for k <= top
+    return np.concatenate([ks[1:], x // ks[top:0:-1]]), np.concatenate([small[1:], large[top:0:-1]]), primes
+
+
+def prime_pi(x: int) -> int:
+    """pi(x), the number of primes p <= x: the last of _prime_counts' counts."""
+    return int(_prime_counts(x)[1][-1]) if x >= 2 else 0
+
+
+def level_tables(x: int, f_tag: str, members: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The values v = x // k ascending (int64), and per v the level census of the
+    n <= v coprime to members (distinct primes): entry [i, k] counts those n <=
+    values[i] with f(n) = k, for k up to max(2, the top f(n) for n <= x), as
+    int32, or int64 from x = 2**31.  No sieve kernel, and no primes past sqrt(x).
+
+    Row T(v), a polynomial in z, starts at z pi'(v), pi' counting the primes
+    that are no member.  Each prime p <= sqrt(x) that is no member, descending,
+    adds to every T(v) with v >= p * p the n whose least prime is p: the sum
+    over e >= 1 with p**(e + 1) <= v of z**f(p**e) (T(v // p**e) - z pi'(p)) +
+    z**f(p**(e + 1)), T read before the step (the min_25 sieve's second phase).
+    Last, n = 1 enters at level 0.
+    """
+    if f_tag not in F_TAGS:
+        raise ValueError(f"f_tag must be one of {F_TAGS}, got {f_tag!r}")
+    if not 1 <= x <= MAX_X:
+        raise ValueError(f"level_tables requires 1 <= x <= {MAX_X}, got {x}")
+    top, product, p = 0, 1, 1  # omega's top: the most first primes whose product is <= x
+    while f_tag == "omega" and product * (p := next_prime(p)) <= x:
+        top, product = top + 1, product * p
+    levels = 1 + max(2, x.bit_length() - 1 if f_tag == "big_omega" else top)  # omega steps write level 2
+    dtype = np.int32 if x < 1 << 31 else np.int64
+    r = math.isqrt(x)
+    # The table, a step's sums and one gather, and int64 values and indices, per value.
+    require_budget(2 * r * (3 * levels * np.dtype(dtype).itemsize + 32), "level tables")
+    values, pi, primes = _prime_counts(x)
+    table = np.zeros((len(values), levels), dtype=dtype)
+    table[:, 1] = pi - np.searchsorted(sorted(members), values, side="right")
+    del pi
+    step = np.empty_like(table)  # one prime's sums, from its first row on
+    for p in reversed(primes):
+        if p in members:
+            continue
+        start = np.searchsorted(values, p * p)
+        step[start:] = 0
+        q, e = p, 1
+        while q * p <= x:
+            i, shift = np.searchsorted(values, q * p), prime_power_level(e, f_tag)
+            w = values[i:] // q  # ascending; in place, its rows: v - 1 up to r, and -k for x // k
+            j = np.searchsorted(w, r, side="right")
+            w[:j] -= 1
+            np.subtract(len(values), np.floor_divide(x, w[j:], out=w[j:]), out=w[j:])
+            step[i:, shift:] += table[w, : levels - shift]
+            step[i:, shift + 1] -= table[p - 1, 1]  # z**f(p**e) z pi'(p): p = values[p - 1] < p * p
+            step[i:, prime_power_level(e + 1, f_tag)] += 1
+            q, e = q * p, e + 1
+        table[start:] += step[start:]
+    table[:, 0] = 1
+    return values, table
 
 
 # The first twelve primes as Miller-Rabin bases; the smallest composite

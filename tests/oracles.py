@@ -59,6 +59,19 @@ def census_slow(x: int, f_tag: str, members: list[int] | None = None) -> dict[in
     return counts
 
 
+def census_slow_at(ys: list[int], f_tag: str, members: list[int] | None = None) -> dict[int, dict[int, int]]:
+    """census_slow(y, f_tag, members) at each y in ys, from one pass over n <= max(ys)."""
+    f = omega_slow if f_tag == "omega" else big_omega_slow
+    wanted, counts, out = set(ys), {}, {}
+    for n in range(1, max(ys) + 1):
+        if not members or coprime_to_all(n, members):
+            k = f(n)
+            counts[k] = counts.get(k, 0) + 1
+        if n in wanted:
+            out[n] = dict(counts)
+    return out
+
+
 def mode_slow(counts: dict[int, int]) -> tuple[int, int]:
     best = max(counts.values())
     return min(k for k, c in counts.items() if c == best), best
@@ -66,6 +79,29 @@ def mode_slow(counts: dict[int, int]) -> tuple[int, int]:
 
 def coprime_count_slow(y: int, members: list[int]) -> int:
     return sum(1 for n in range(1, y + 1) if coprime_to_all(n, members))
+
+
+def coprime_count_inclusion_exclusion(y: int, members: list[int]) -> int:
+    """Exact #{n <= y : gcd(n, prod members) = 1} as a signed sum of
+    floor(y/d) over squarefree divisors d of the member product.
+
+    It never marks a range, so it checks the total of a census restricted
+    to the same set independently of coprime_mask.
+    """
+    if y < 0:
+        raise ValueError(f"coprime_count_inclusion_exclusion requires y >= 0, got {y}")
+
+    def signed(limit: int, idx: int) -> int:
+        # integers <= limit coprime to members[idx:]
+        total = limit
+        for i in range(idx, len(members)):
+            q = limit // members[i]
+            if q == 0:
+                break
+            total -= signed(q, i + 1)
+        return total
+
+    return signed(y, 0)
 
 
 def concentration_tail_slow(x: int, delta: float) -> int:

@@ -30,7 +30,6 @@ import pytest
 from omega_proximity.census import census, concentration_tail, mode_k
 from omega_proximity.cli import main as cli_main
 from omega_proximity.gfunction import GEntry, GFunction, build_g
-from omega_proximity.primeset import coprime_count_inclusion_exclusion
 from omega_proximity.proximity import (
     certificate_count,
     coincidence_count,
@@ -39,7 +38,7 @@ from omega_proximity.proximity import (
 )
 from omega_proximity.sieve import iter_factor_segments
 
-from oracles import coincidence_count_slow, eval_g_slow, factorize_slow
+from oracles import coincidence_count_slow, coprime_count_inclusion_exclusion, eval_g_slow, factorize_slow
 
 GRID = (10_000, 100_000, 1_000_000, 10_000_000)
 TAIL_DELTA = 0.1

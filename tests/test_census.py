@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omega_proximity import sieve
+from omega_proximity import census as census_module, sieve
 from omega_proximity.census import (
     CensusTable,
     LevelSnapshots,
@@ -19,15 +19,18 @@ from omega_proximity.census import (
     concentration_tail,
     mode_k,
 )
-from omega_proximity.primeset import (
-    PrimeSetS,
-    coprime_count_inclusion_exclusion,
-    coprime_mask,
-    power_prime_set,
-)
+from omega_proximity.errors import CapacityError
+from omega_proximity.primeset import PrimeSetS, coprime_mask, power_prime_set
 from omega_proximity.proximity import phi_diagnostics
+from omega_proximity.sieve import level_tables
 
-from oracles import census_slow, concentration_tail_slow, mode_slow
+from oracles import (
+    census_slow,
+    census_slow_at,
+    concentration_tail_slow,
+    coprime_count_inclusion_exclusion,
+    mode_slow,
+)
 
 
 def test_census_100_omega():
@@ -190,6 +193,75 @@ def test_restricted_total_matches_inclusion_exclusion(x, members, segment_size):
         assert total == coprime_count_inclusion_exclusion(x, members), tag
 
 
+# The value p * p and its neighbours, where the prime p starts to count.
+_SQUARES = [p * p + d for p in (2, 3, 7, 31, 997) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.one_of(st.integers(1, 5000), st.integers(1, 10**6), st.sampled_from(_SQUARES)),
+       tag=st.sampled_from(["omega", "big_omega"]), members=_prime_sets())
+@example(x=1, tag="omega", members=[])
+@example(x=2, tag="big_omega", members=[2])
+@example(x=3, tag="omega", members=[3])
+@example(x=4, tag="big_omega", members=[])
+@example(x=4, tag="omega", members=[2, 3])
+@example(x=48, tag="big_omega", members=[3])
+@example(x=50, tag="omega", members=[2, 7])
+@example(x=994_008, tag="big_omega", members=[])
+@example(x=994_010, tag="omega", members=[2, 3, 8191])
+def test_level_tables_match_census_at_every_value(x, tag, members):
+    # Rows up to 3000 against trial division, the others against census; the
+    # last row, at x, against census as well.
+    values, table = level_tables(x, tag, members)
+    restrict = PrimeSetS(tuple(members)) if members else None
+    assert values.tolist() == sorted({x // k for k in range(1, x + 1)})
+    got = {v: {k: int(c) for k, c in enumerate(row) if c} for v, row in zip(values.tolist(), table)}
+    slow = census_slow_at([v for v in got if v <= 3000], tag, members)
+    for v, counts in got.items():
+        assert counts == (slow[v] if v <= 3000 else census(v, tag, restrict).counts), v
+    assert got[x] == census(x, tag, restrict).counts
+
+
+def test_level_tables_sweep_nothing_and_sieve_below_the_root(monkeypatch):
+    # No sieve kernel and no sweep, in the tables or in the tail they feed,
+    # and no prime table past sqrt(x).
+    cases = [(10**6, "omega", (3, 5, 8191)), (999_999, "big_omega", (2, 7)), (3, "omega", ())]
+    want = [census(x, tag, PrimeSetS(members) if members else None).counts for x, tag, members in cases]
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be swept")
+
+    limits, real = [], sieve.primes_up_to
+
+    def recorded(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(sieve, "_segment_factor_counts", never)
+    for module in (sieve, census_module):
+        monkeypatch.setattr(module, "iter_factor_segments", never)
+    monkeypatch.setattr(sieve, "primes_up_to", recorded)
+    for (x, tag, members), counts in zip(cases, want):
+        limits.clear()
+        table = level_tables(x, tag, members)[1]
+        assert {k: int(c) for k, c in enumerate(table[-1]) if c} == counts
+        assert all(limit <= math.isqrt(x) for limit in limits), (x, limits)
+    for x, tail in ((2_000_000, 6980), (10**7, 74619)):
+        limits.clear()
+        assert concentration_tail(x, 0.1) == tail
+        assert limits and max(limits) <= math.isqrt(x)
+
+
+def test_level_tables_reject_bad_input(monkeypatch):
+    for x, tag in ((0, "omega"), (5, "theta"), (sieve.MAX_X + 1, "omega")):
+        with pytest.raises(ValueError):
+            level_tables(x, tag)
+    # The tables are charged to the budget before they are allocated.
+    monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "1")
+    with pytest.raises(CapacityError, match="level tables"):
+        level_tables(10**12, "big_omega")
+
+
 def test_partition_unrestricted():
     for x in (1, 37, 4096):
         assert census(x, "omega").total() == x
@@ -235,23 +307,18 @@ def test_concentration_tail_frozen_at_1e4():
 
 
 def test_concentration_tail_memory_is_per_segment():
-    # The odd sweep's 3 B per entry and 512 B per level snapshot; a float64
-    # buffer per segment took 8 B per entry more, and separate arange, log,
-    # log, difference and abs arrays about 34 B per entry.
+    # The bound of an odd sweep in 2**16-entry segments, at 24 B per entry:
+    # the level tables at 2 * 10**6 hold 2827 rows of 8 int32 levels.  A
+    # float64 buffer per segment took 8 B per entry more, and separate arange,
+    # log, log, difference and abs arrays about 34 B per entry.
     segment_size = 1 << 16
     tracemalloc.start()
     try:
-        assert concentration_tail(2_000_000, 0.1, segment_size=segment_size) == 6980
+        assert concentration_tail(2_000_000, 0.1) == 6980
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 24 * segment_size
-
-
-def test_concentration_tail_segment_independence():
-    base = concentration_tail(4000, 0.1)
-    for threads in (1, 2):
-        assert concentration_tail(4000, 0.1, segment_size=64, threads=threads) == base
 
 
 def test_csv_lines():

@@ -118,7 +118,7 @@ def test_verify_passes(tmp_path, capsys):
     assert run(["verify", "--x", "2000"], tmp_path) == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
-    assert "10/10 checks passed" in out
+    assert "7/7 checks passed" in out
     # Below the smallest member there is no witness, and L = 0 is right.
     for x in ("1", "2"):
         assert run(["verify", "--x", x], tmp_path) == 0, x
@@ -129,14 +129,26 @@ def test_verify_passes(tmp_path, capsys):
 
 def test_verify_fails_a_wrong_lift(tmp_path, capsys, monkeypatch):
     # Lifting omega by a, as for big_omega, keeps every total but puts the
-    # even n at the wrong levels; only a full sweep can tell.
+    # even n at the wrong levels; the level tables, which lift nothing, tell.
     init = census_module.LevelSnapshots.__init__
     monkeypatch.setattr(census_module.LevelSnapshots, "__init__",
                         lambda self, ys, tag, odd_only: init(self, ys, "big_omega", odd_only))
     assert run(["verify", "--x", "2000"], tmp_path) == 1
     out = capsys.readouterr().out
-    assert "[ ok ] census-partition" in out
-    assert "[FAIL] census-lift" in out
+    assert "[ ok ] count-lift" in out
+    assert "[FAIL] census-tables" in out
+
+
+def test_verify_fails_a_missed_member(tmp_path, capsys, monkeypatch):
+    # A coprime mask that forgets the last member keeps the unrestricted
+    # censuses, but counts its multiples in the restricted ones.
+    mask = census_module.coprime_mask
+    monkeypatch.setattr(census_module, "coprime_mask",
+                        lambda lo, hi, members, step: mask(lo, hi, members[:-1], step))
+    assert run(["verify", "--x", "2000"], tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "[ ok ] sieve-vs-factorization" in out
+    assert "[FAIL] census-tables" in out
 
 
 def test_verify_fails_a_wrong_count_lift(tmp_path, capsys, monkeypatch):
@@ -152,23 +164,30 @@ def test_verify_fails_a_wrong_count_lift(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_fails_a_wrong_prime_count(tmp_path, capsys, monkeypatch):
-    # A prime count one too high contradicts both censuses' level 1.
-    pi = cli.prime_pi
-    monkeypatch.setattr(cli, "prime_pi", lambda x: pi(x) + 1)
+    # Level 1 of the tables one too high, a prime count off by one,
+    # contradicts every census's level 1.
+    tables = cli.level_tables
+
+    def shifted(*args):
+        values, table = tables(*args)
+        table[:, 1] += 1
+        return values, table
+
+    monkeypatch.setattr(cli, "level_tables", shifted)
     assert run(["verify", "--x", "2000"], tmp_path) == 1
     out = capsys.readouterr().out
-    assert "[ ok ] census-partition" in out
-    assert "[FAIL] prime-count" in out
+    assert "[ ok ] sieve-vs-factorization" in out
+    assert "[FAIL] census-tables" in out
 
 
 def test_verify_fails_a_wrong_tail(tmp_path, capsys, monkeypatch):
     # A banded tail one too high disagrees with the per-n count on the full
-    # omega sweep, which the census lift reads too.
+    # omega sweep, which count-lift reads too.
     tail = cli.concentration_tail
     monkeypatch.setattr(cli, "concentration_tail", lambda *args: tail(*args) + 1)
     assert run(["verify", "--x", "2000"], tmp_path) == 1
     out = capsys.readouterr().out
-    assert "[ ok ] census-lift" in out
+    assert "[ ok ] count-lift" in out
     assert "[FAIL] tail-bands" in out
 
 
@@ -188,7 +207,7 @@ def test_verify_validates_g_file(tmp_path, capsys):
     capsys.readouterr()
     g_path = tmp_path / "g.json"
     assert run(["verify", "--x", "2000", "--g", str(g_path)], tmp_path) == 0
-    assert "11/11 checks passed" in capsys.readouterr().out
+    assert "8/8 checks passed" in capsys.readouterr().out
 
     doc = json.loads(g_path.read_text())
     doc["table"][0]["value"] += 1
@@ -198,7 +217,7 @@ def test_verify_validates_g_file(tmp_path, capsys):
     assert run(["verify", "--x", "2000", "--g", str(bad)], tmp_path) == 1
     out = capsys.readouterr().out
     assert "[FAIL] g-file-integrity: table differs from rebuild" in out
-    assert "10/11 checks passed" in out
+    assert "7/8 checks passed" in out
 
 
 def test_verify_rejects_unreadable_g(tmp_path, capsys):
@@ -232,12 +251,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ["construct", "--x", "1000", "--set", "paper", "--delta", "2000"],
     ["report", "--grid", "20000000", "--eps", "0"],
     ["report", "--grid", "8,20000000"],
+    ["report", "--grid", "20000000", "--eps", "800"],
 ], ids=["eps-nan", "eps-inf", "delta-nan", "param-inf", "empty-grid-eps-negative", "delta-overflow",
-        "eps-zero", "grid-below-16"])
+        "eps-zero", "grid-below-16", "eps-overflow"])
 def test_bad_float_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
     # JSON has no NaN or infinity, and an infinite or huge exponent overflows
     # the set builder's float power: refused before any file is written.  The
-    # report's eps and grid are refused before g is built at the largest x.
+    # report's eps and grid are refused before g is built at the largest x,
+    # as is an eps whose (log log x)**(1/2 + eps) overflows there.
     calls, real = [], sieve.iter_factor_segments
 
     def counting(*args, **kwargs):

@@ -8,7 +8,6 @@ import pytest
 from omega_proximity.census import census
 from omega_proximity.primeset import (
     PrimeSetS,
-    coprime_count_inclusion_exclusion,
     coprime_mask,
     density_constant,
     power_prime_set,
@@ -16,7 +15,7 @@ from omega_proximity.primeset import (
     threshold_prime_set,
 )
 
-from oracles import coprime_count_slow, is_prime_slow
+from oracles import coprime_count_inclusion_exclusion, coprime_count_slow, is_prime_slow
 
 
 def test_threshold_set_examples():

@@ -301,13 +301,14 @@ def test_consumers_hold_less_than_the_kernel_block(consumer, paper_g_40):
     # consumer reads it in views of 2^18 entries at up to 8 B per entry and
     # drops them, and the block, before the next block is sieved: 2 * 10**6
     # odd n make two blocks, 4 * 10**6 n four.  Whole blocks held 7.1, 5.8,
-    # 6.0, 4.8 and 17 MiB.
+    # 6.0, 4.8 and 17 MiB.  The tail now sweeps nothing: it holds level
+    # tables of about 2 sqrt(x) rows.
     run = {
         "certificate": lambda: certificate_count(4_000_000, paper_g_40, "omega", 1 << 20),
         "coincidence": lambda: coincidence_count(4_000_000, "omega", paper_g_40, 1 << 20),
         "phi": lambda: phi_diagnostics(4_000_000, "omega", 1 << 20),
         "census": lambda: census(4_000_000, "omega", paper_g_40.prime_set, 1 << 20),
-        "tail": lambda: concentration_tail(4_000_000, 0.1, 1 << 20),
+        "tail": lambda: concentration_tail(4_000_000, 0.1),
     }[consumer]
     tracemalloc.start()
     try:
