@@ -3,7 +3,7 @@
 All range computations run segment by segment.  Peak memory is estimated as
 bytes-per-integer times the largest live array span, plus the tables a
 computation sizes by its bound (a prime sieve's flags, the 2 sqrt(x) rows of
-the prime count's and the level tables, phi's sums for pi(x)/64 + 1 leaves),
+the prime count's and the level tables, phi's 2 pi(x)/4096 + 1 tree nodes),
 and checked against a budget in MB, taken from the OMEGA_PROXIMITY_BUDGET
 environment variable (default 2048).  The estimate is deliberately coarse;
 it exists to turn runaway requests into a clean CapacityError instead of

@@ -264,42 +264,39 @@ def report_json_dict(
 
 class _PairwiseSum:
     """np.sum over n float64 values v and over 1 - v, bit for bit, from v fed
-    in ascending chunks, keeping one sum per leaf of numpy's summation tree:
-    numpy sums m > 128 values as the sum of the first floor(m/2), rounded down
-    to a multiple of 8, plus the sum of the rest, and m <= 128 in one leaf,
-    which a row sum over those m values reproduces.  Every leaf of an n > 128
-    holds at least 64 values.
+    in ascending chunks, keeping one pair of sums per node of numpy's
+    summation tree that holds at most NODE values: numpy sums m > 128 values
+    as the sum of the first floor(m/2), rounded down to a multiple of 8, plus
+    the sum of the rest, so every node is np.sum of its own contiguous values
+    and is summed as soon as they are in.  Every node of an n > NODE holds at
+    least NODE / 2 values, so there are at most 2 n / NODE + 1 nodes.
     """
+
+    NODE = 1 << 12
 
     def __init__(self, n: int) -> None:
         lens, self.splits = np.array([n]), []  # per level, in array order, the nodes that split
-        while (split := lens > 128).any():
+        while (split := lens > self.NODE).any():
             self.splits.append(split)
             half = lens[split] // 2 & -8
             right = np.cumsum(split + 1)[split] - 1  # where each split node's right half lands
             lens = np.repeat(lens, split + 1)
             lens[right - 1] = half
             lens[right] -= half
-        self.lens = lens.astype(np.uint8)  # the leaves in array order
-        self.sizes = np.flatnonzero(np.bincount(lens)).tolist()  # the distinct leaf lengths
+        self.lens = lens  # the nodes in array order
         self.sums = np.empty((2, len(lens)))
         self.fed = self.done = 0
-        self.carry = np.empty(0)  # the values of leaves not yet whole
+        self.carry = np.empty(0)  # the first values of node done, fewer than it holds
 
     def add(self, values: np.ndarray) -> None:
-        buf = np.concatenate((self.carry, values))  # from the start of leaf done
         self.fed += len(values)
-        lens = self.lens[self.done : self.done + len(buf) // 64 + 1]  # past buf: leaves hold >= 64
-        ends = np.cumsum(lens)  # where each of these leaves ends in buf
-        whole = int(np.searchsorted(ends, len(buf), "right"))  # leaves done..done + whole are whole
-        for m in self.sizes:
-            pick = np.flatnonzero(lens[:whole] == m)
-            if len(pick):  # the leaves of m values, one per row
-                rows = np.lib.stride_tricks.sliding_window_view(buf, m)[ends[pick] - m]
-                self.sums[0, self.done + pick] = rows.sum(axis=1)
-                self.sums[1, self.done + pick] = np.subtract(1.0, rows, out=rows).sum(axis=1)
-        self.carry = buf[ends[whole - 1] if whole else 0 :].copy()
-        self.done += whole
+        while self.done < len(self.lens) and len(self.carry) + len(values) >= self.lens[self.done]:
+            take = self.lens[self.done] - len(self.carry)
+            node, values = np.concatenate((self.carry, values[:take])), values[take:]
+            self.sums[:, self.done] = node.sum(), np.subtract(1.0, node, out=node).sum()
+            self.carry, self.done = np.empty(0), self.done + 1
+        if self.done < len(self.lens):  # past the last node only a miscount feeds more
+            self.carry = np.concatenate((self.carry, values))
 
     def totals(self) -> tuple[float, float]:
         """(sum of v, sum of 1 - v) once all n values are in, level by level up the tree."""
@@ -324,7 +321,7 @@ def phi_diagnostics(
     One sweep of the odd n <= x fills a level histogram, lifted to 1..x by
     census.LevelSnapshots, and streams 1/p for each prime (2, then each odd
     n with f(n) == 1 that is no prime power p**a, a >= 2, listed first),
-    ascending whatever the segments or threads, into the leaves of np.sum's
+    ascending whatever the segments or threads, into the nodes of np.sum's
     tree over n = prime_pi(x) values: A and B match a prime table's floats
     with no such table held; math.fsum would round, and print them, otherwise.
     A sweep that finds other than n primes raises CertificateError.
@@ -332,10 +329,11 @@ def phi_diagnostics(
     if x < 2:
         raise ValueError(f"phi_diagnostics requires x >= 2, got {x}")
     segments = iter_factor_segments(1, x + 1, segment_size, threads, f_tag, 2)  # checks x first
-    # Leaves hold at least 64 of the pi(x) < 1.25506 x / ln x values (Rosser-Schoenfeld); each keeps
-    # two float sums, a length byte and split flags; prime_pi's tables go before the leaves exist.
-    leaves = int(1.25506 * x / math.log(x)) // 64 + 1
-    require_budget(32 * leaves + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
+    # At most 2 pi(x) / NODE + 1 nodes, as pi(x) < 1.25506 x / ln x (Rosser-Schoenfeld).  Per node,
+    # the tree holds int64 lengths while it is built (traced 34 B), then two float sums, a length
+    # and a split flag (25 B), and 39 B as they are combined; prime_pi's tables go before the nodes.
+    nodes = 2 * int(1.25506 * x / math.log(x)) // _PairwiseSum.NODE + 1
+    require_budget(40 * nodes + WORKING_BYTES_PER_N * min(segment_size, x), "phi diagnostics")
     n = prime_pi(x)
     stream = _PairwiseSum(n)
     stream.add(np.array([0.5]))  # the one even prime

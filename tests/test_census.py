@@ -67,7 +67,7 @@ def test_census_rejects_x_beyond_int64(monkeypatch):
 
 def test_buffers_sized_only_after_the_range_check(monkeypatch):
     # Raised budget: a sweep sizes its segments, and phi_diagnostics its prime
-    # count's tables and leaf sums, so the range check must come before numpy is asked for one.
+    # count's tables and node sums, so the range check must come before numpy is asked for one.
     def never(*args, **kwargs):
         raise AssertionError("nothing may be swept or allocated")
 
@@ -306,19 +306,18 @@ def test_concentration_tail_frozen_at_1e4():
     assert concentration_tail(10_000, 0.1) == 33
 
 
-def test_concentration_tail_memory_is_per_segment():
-    # The bound of an odd sweep in 2**16-entry segments, at 24 B per entry:
-    # the level tables at 2 * 10**6 hold 2827 rows of 8 int32 levels.  A
-    # float64 buffer per segment took 8 B per entry more, and separate arange,
-    # log, log, difference and abs arrays about 34 B per entry.
-    segment_size = 1 << 16
+def test_concentration_tail_memory_is_its_level_tables():
+    # The tail sweeps nothing: it holds the level tables at one cut at a time.
+    # At 2 * 10**6 they have 2827 rows of 8 int32 levels, and level_tables
+    # holds the table, a prime's step and one gather of it, plus int64 values
+    # and indices per row: five such arrays bound it (traced 4.3).
     tracemalloc.start()
     try:
         assert concentration_tail(2_000_000, 0.1) == 6980
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * segment_size
+    assert peak < 5 * 2827 * 8 * 4
 
 
 def test_csv_lines():

@@ -350,10 +350,22 @@ def test_capacity_exit_3(tmp_path, monkeypatch):
     assert run(["census", "--x", "2000000"], tmp_path) == 3
 
 
-def test_phi_beyond_budget_exit_3(tmp_path, capsys):
-    # phi's leaf sums alone would need about 21 GB: refused before any sweep.
+def test_phi_beyond_budget_exit_3(tmp_path, capsys, monkeypatch):
+    # At 10**12 phi's node sums need about 846 MB and the segment working set
+    # 32 MB: over a 512 MB budget, refused before it counts or sweeps anything.
+    def never(*args, **kwargs):
+        raise AssertionError("phi counted primes past its budget")
+
+    def never_swept(*args, **kwargs):  # phi sets up its sweep before the budget check
+        raise AssertionError("phi swept past its budget")
+        yield
+
+    monkeypatch.setenv("OMEGA_PROXIMITY_BUDGET", "512")
+    monkeypatch.setattr(proximity_module, "prime_pi", never)
+    monkeypatch.setattr(proximity_module, "iter_factor_segments", never_swept)
     assert run(["phi", "--x", "1000000000000"], tmp_path) == 3
-    assert "phi diagnostics needs about" in capsys.readouterr().err
+    assert "phi diagnostics needs about 879 MB" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_phi_prime_count_mismatch_exit_1(tmp_path, capsys, monkeypatch):

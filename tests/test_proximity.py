@@ -22,7 +22,7 @@ from omega_proximity.proximity import (
     report_csv_lines,
     report_json_dict,
 )
-from omega_proximity.sieve import primes_up_to
+from omega_proximity.sieve import prime_pi, primes_up_to
 
 from oracles import certificate_count_slow, certificate_fails_slow, coincidence_count_slow, phi_slow
 
@@ -262,32 +262,62 @@ def test_phi_matches_slow_oracle_bit_for_bit(x, tag):
 
 
 def test_pairwise_sum_replays_numpy_bit_for_bit():
-    # The leaf sums are numpy's own tree only if np.sum still builds it this
+    # The node sums are numpy's own tree only if np.sum still builds it this
     # way: a numpy that sums otherwise fails here before any golden hash does.
+    # Up to NODE values make one node, summed by one np.sum, so the lengths
+    # cross node boundaries, and a second feed brings exactly one node per add.
+    node = _PairwiseSum.NODE
     rng = np.random.default_rng(16)
-    lengths = [*range(1, 600), *rng.integers(600, 2_000_001, 60).tolist()]
+    lengths = [*range(1, 600), *rng.integers(600, 2_000_001, 60).tolist(), node - 1, node, node + 1,
+               2 * node - 8, 2 * node + 8, 3 * node + 1, 1_000_003, 1_048_577, 1_999_999]
     recips = 1.0 / primes_up_to(33_000_000).primes[: max(lengths)]
     for n in lengths:
         v = recips[:n]
+        expected = (float(np.sum(v)), float(np.sum(1.0 - v)))
         stream, fed = _PairwiseSum(n), 0
-        while fed < n:  # chunks of one value, of a few, and of many leaves
+        while fed < n:  # chunks of one value, of a few, and of many nodes
             size = int(rng.choice([1, rng.integers(1, 300), rng.integers(1, n // 4 + 2)]))
             stream.add(v[fed : fed + size])
             fed += size
-        assert stream.totals() == (float(np.sum(v)), float(np.sum(1.0 - v))), n
+        assert stream.totals() == expected, n
+        stream, fed = _PairwiseSum(n), 0
+        for m in stream.lens:
+            stream.add(v[fed : fed + m])
+            fed += m
+        assert (fed, stream.totals()) == (n, expected), n
+
+
+def test_pairwise_sum_holds_node_sums_only():
+    # pi(10**8) values make 2048 nodes of at most NODE values; each keeps two
+    # float sums and an int64 length, and at most one node's values wait in
+    # the carry.  A pair of sums per leaf of 64 to 128 values held 1.13 MiB.
+    n = prime_pi(10**8)
+    chunk = np.full(1 << 18, 0.5)
+    tracemalloc.start()
+    try:
+        stream = _PairwiseSum(n)
+        for fed in range(0, n, len(chunk)):
+            stream.add(chunk[: n - fed])
+        totals = stream.totals()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert totals == (n / 2, n / 2)  # halves add exactly in any order
+    assert peak < 0.25 * 2**20
 
 
 def test_phi_memory_is_per_segment_plus_primes():
     # A prime table up to x with its float copies would take about 6.5 MB
     # here, and a 1/p buffer 8 bytes per prime <= x: 2.2 MB.  Streamed into
-    # numpy's summation tree, phi keeps two floats per leaf of 64 to 128 primes.
+    # numpy's summation tree, phi keeps two floats per node of 2048 to 4096
+    # primes; traced at 0.43 MiB, and 0.63 MiB with a pair per leaf of 64 to 128.
     tracemalloc.start()
     try:
         phi_diagnostics(4_000_000, "omega", segment_size=1 << 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    assert peak < 0.5 * 2**20
 
 
 @pytest.fixture(scope="module")
