@@ -26,6 +26,8 @@ from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
 MIN_SEGMENT_SIZE = 64
 # Entries per yielded view of a block: consumers' temporaries stay below the kernel's.
 VIEW_SIZE = 1 << 18
+WHEEL = {3: 9, 5: 5, 7: 7, 11: 11, 13: 13}  # prime: the top power of it a block's start word holds
+WHEEL_PERIOD = math.prod(WHEEL.values())  # 45045: a wheel pre-sieve (Pritchard, Acta Inf. 17, 1982)
 F_TAGS = ("omega", "big_omega")
 
 # Largest x a sweep of [1, x] reaches: hi = x + 1 stays an int64 for the
@@ -258,19 +260,36 @@ def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str) -> tuple[list[tuple],
     return hits, [u16(t) for t in thresholds]
 
 
-def _segment_factor_counts(
-    lo: int, hi: int, hits: list[tuple], thresholds: list[np.uint16], step: int = 1
-) -> np.ndarray:
-    """Pure worker: f at n = lo + step * i in [lo, hi) as uint8, from the
-    output of _sieve_tables, whose primes must not divide step.
-
-    One strided read-modify-write per hit on one uint16 word per entry; then
-    adding T_b carries a prime factor above the sieve primes into the high
-    byte, which the shift brings down."""
-    span = len(range(lo, hi, step))
-    word = np.full(span, 255, dtype=np.uint16)
+def _start_word(hits: list[tuple]) -> np.ndarray:
+    """The word of n = step * i (mod WHEEL_PERIOD) at i < WHEEL_PERIOD after
+    the hits of the WHEEL powers among hits' primes, for step 1 and 2 alike:
+    an odd q | WHEEL_PERIOD divides n exactly when it divides i."""
+    word = np.full(WHEEL_PERIOD, 255, dtype=np.uint16)
     for p, hit, power_hit in hits:
         q, add = p, hit
+        while q <= WHEEL.get(p, 0):
+            word[::q] += add
+            q, add = q * p, power_hit
+    return word
+
+
+def _segment_factor_counts(
+    lo: int, hi: int, hits: list[tuple], thresholds: list[np.uint16], step: int, start: np.ndarray
+) -> np.ndarray:
+    """Pure worker: f at n = lo + step * i in [lo, hi) as uint8, from the
+    output of _sieve_tables, whose primes must not divide step, and its _start_word.
+
+    The word starts as the start word rotated to n = lo; the loop skips its
+    powers and hits only the primes up to isqrt(hi - 1).  That is exact: a
+    larger p has p * p >= hi, so it is the one prime factor above sqrt(n) of
+    each of its multiples n, which adding T_b (set for all the table's primes)
+    carries into the high byte like any such factor; the shift brings it down."""
+    span = len(range(lo, hi, step))
+    word = np.resize(np.roll(start, -(lo * pow(step, -1, WHEEL_PERIOD) % WHEEL_PERIOD)), span)
+    for p, hit, power_hit in hits:
+        if p * p >= hi:
+            break
+        q, add = (p * WHEEL[p], power_hit) if p in WHEEL else (p, hit)
         while q < hi:
             first = (q - lo) % (step * q) // step  # index of the first (odd) multiple of q
             if first >= span:  # then no multiple of a higher power either
@@ -311,9 +330,9 @@ def iter_factor_segments(
     """FactorCensus segments of f_tag at n = lo + step * i in [lo, hi), ascending.
 
     step 1 sweeps every n, step 2 the odd n from an odd lo.  The kernel sieves
-    blocks of segment_size entries, as its per-prime loop costs the same for
-    any block, and each block is yielded as views of at most VIEW_SIZE entries
-    that tile it.  Once a consumer drops a block's last view, the block is
+    blocks of segment_size entries, each from one start word and up to its own
+    prime cutoff, and each block is yielded as views of at most VIEW_SIZE
+    entries that tile it.  Once a consumer drops a block's last view, the block is
     freed before the next one is sieved.  Range, step and tag are checked at the
     call, before any segment.  Segments never change the counts; workers share
     only read-only tables, so results are identical for any threads value.
@@ -332,9 +351,10 @@ def iter_factor_segments(
     root = math.isqrt(hi - 1)
     sieve_primes = primes_up_to(root).primes if root >= 2 else np.empty(0, dtype=np.int64)
     hits, thresholds = _sieve_tables(sieve_primes[step - 1 :], hi, f_tag)  # 2 leads; step 2 skips it
+    start = _start_word(hits)
 
     def worker(span: tuple[int, int]) -> tuple[int, int, np.ndarray]:
-        return *span, _segment_factor_counts(*span, hits, thresholds, step)
+        return *span, _segment_factor_counts(*span, hits, thresholds, step, start)
 
     def views(blocks: Iterator[tuple[int, int, np.ndarray]]) -> Iterator[FactorCensus]:
         for a, b, f in blocks:

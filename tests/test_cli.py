@@ -351,8 +351,9 @@ def test_capacity_exit_3(tmp_path, monkeypatch):
 
 
 def test_phi_beyond_budget_exit_3(tmp_path, capsys, monkeypatch):
-    # At 10**12 phi's node sums need about 846 MB and the segment working set
-    # 32 MB: over a 512 MB budget, refused before it counts or sweeps anything.
+    # At 10**12 phi's node sums need about 846 MB and the working set of a
+    # 2**19-entry block 16 MB: over a 512 MB budget, refused before it counts
+    # or sweeps anything.
     def never(*args, **kwargs):
         raise AssertionError("phi counted primes past its budget")
 
@@ -364,7 +365,7 @@ def test_phi_beyond_budget_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(proximity_module, "prime_pi", never)
     monkeypatch.setattr(proximity_module, "iter_factor_segments", never_swept)
     assert run(["phi", "--x", "1000000000000"], tmp_path) == 3
-    assert "phi diagnostics needs about 879 MB" in capsys.readouterr().err
+    assert "phi diagnostics needs about 863 MB" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from omega_proximity.budget import DEFAULT_SEGMENT_SIZE
 from omega_proximity.census import LevelSnapshots, census, concentration_tail, mode_k
 from omega_proximity.errors import CertificateError
 from omega_proximity.gfunction import GEntry, GFunction, build_g
@@ -325,6 +326,22 @@ def paper_g_40():
     return build_g(2_000_000, threshold_prime_set(0.5, 40), "omega")
 
 
+def _traced_peak(consumer, g, segment_size):
+    run = {
+        "certificate": lambda: certificate_count(4_000_000, g, "omega", segment_size),
+        "coincidence": lambda: coincidence_count(4_000_000, "omega", g, segment_size),
+        "phi": lambda: phi_diagnostics(4_000_000, "omega", segment_size),
+        "census": lambda: census(4_000_000, "omega", g.prime_set, segment_size),
+        "tail": lambda: concentration_tail(4_000_000, 0.1),
+    }[consumer]
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("consumer", ["certificate", "coincidence", "phi", "census", "tail"])
 def test_consumers_hold_less_than_the_kernel_block(consumer, paper_g_40):
     # A 2^20-entry block costs the kernel 3 MiB (uint16 word, uint8 f).  Each
@@ -333,20 +350,15 @@ def test_consumers_hold_less_than_the_kernel_block(consumer, paper_g_40):
     # odd n make two blocks, 4 * 10**6 n four.  Whole blocks held 7.1, 5.8,
     # 6.0, 4.8 and 17 MiB.  The tail now sweeps nothing: it holds level
     # tables of about 2 sqrt(x) rows.
-    run = {
-        "certificate": lambda: certificate_count(4_000_000, paper_g_40, "omega", 1 << 20),
-        "coincidence": lambda: coincidence_count(4_000_000, "omega", paper_g_40, 1 << 20),
-        "phi": lambda: phi_diagnostics(4_000_000, "omega", 1 << 20),
-        "census": lambda: census(4_000_000, "omega", paper_g_40.prime_set, 1 << 20),
-        "tail": lambda: concentration_tail(4_000_000, 0.1),
-    }[consumer]
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * 2**20
+    assert _traced_peak(consumer, paper_g_40, 1 << 20) < 3.5 * 2**20
+
+
+@pytest.mark.parametrize("consumer", ["certificate", "coincidence", "phi", "census"])
+def test_consumers_hold_less_than_a_default_block(consumer, paper_g_40):
+    # A default 2^19-entry block costs the kernel 1.5 MiB; with a consumer's
+    # view on top, traced peaks were 1.66-1.74 MiB for census, E and phi and
+    # 2.24 MiB for L, against 3.20-3.25 MiB at 2^20.
+    assert _traced_peak(consumer, paper_g_40, DEFAULT_SEGMENT_SIZE) < 2.5 * 2**20
 
 
 def test_phi_json_payload():

@@ -273,6 +273,42 @@ def test_step_two_holds_the_odd_entries(b, before, after):
                 assert np.array_equal(odd, full[::2]), (tag, segment_size, threads)
 
 
+@pytest.mark.parametrize("step", [1, 2])
+def test_start_word_and_block_cutoff_match_factorize(step):
+    # Each block starts as the start word rotated to its first entry and
+    # sieves only the primes up to isqrt(its end - 1).  Windows: every sweep
+    # of [1, hi) with hi <= 200, whose root is below 13 up to hi = 169, so
+    # the word must hold that sweep's primes only; blocks of 64 entries that start at,
+    # just before and across k * 45045; and blocks that end at p * p (p not
+    # sieved) and at p * p + step (p sieved, p * p its last entry).
+    period = sieve.WHEEL_PERIOD
+    assert period == 45045
+    windows = [(1, hi) for hi in range(2, 201)]
+    for k in (1, 3, 2221):  # odd k: k * period is odd, a step-2 start
+        for back in (0, step, 32 * step):
+            windows.append((k * period - back, k * period - back + 300 * step))
+    for p in (13, 101, 9973):
+        for end in (p * p, p * p + step):
+            windows.append((end - 64 * step, end + 64 * step))
+    for lo, hi in windows:
+        want = [factorize(n) for n in range(lo, hi, step)]
+        counts = {"omega": [len(set(fs)) for fs in want], "big_omega": [len(fs) for fs in want]}
+        for tag in F_TAGS:
+            for segment_size, threads in ((64, 1), (64, 2), (DEFAULT_SEGMENT_SIZE, 1)):
+                segments = iter_factor_segments(lo, hi, segment_size, threads, tag, step)
+                got = np.concatenate([seg.f for seg in segments])
+                assert got.tolist() == counts[tag], (lo, hi, tag, segment_size, threads)
+    # One default block over more than two periods, against the product kernel.
+    lo = 10**6 + 1
+    hi = lo + step * (2 * period + 1000)
+    want = segment_factor_counts_product(lo, hi, primes_up_to(math.isqrt(hi - 1)).primes.tolist())
+    for tag, counts in zip(("omega", "big_omega"), want):
+        for threads in (1, 2):
+            segments = iter_factor_segments(lo, hi, DEFAULT_SEGMENT_SIZE, threads, tag, step)
+            got = np.concatenate([seg.f for seg in segments])
+            assert np.array_equal(got, counts[::step]), (tag, threads)
+
+
 def test_bad_step_refused_before_any_buffer(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("nothing may be swept or allocated")
@@ -329,7 +365,7 @@ def test_band_thresholds_separate_every_band():
     for i, tag in enumerate(("omega", "big_omega")):
         hits, thresholds = sieve._sieve_tables(primes[:2], 2**63 - 1, tag)
         for n, want in cases.items():
-            f = sieve._segment_factor_counts(n, n + 1, hits, thresholds)
+            f = sieve._segment_factor_counts(n, n + 1, hits, thresholds, 1, sieve._start_word(hits))
             assert f.dtype == np.uint8 and int(f[0]) == want[i], (tag, n)
 
 
