@@ -18,12 +18,12 @@ from .errors import CapacityError
 
 BUDGET_ENV_VAR = "OMEGA_PROXIMITY_BUDGET"
 DEFAULT_BUDGET_MB = 2048
-DEFAULT_SEGMENT_SIZE = 1 << 19  # entries per sieve block: 1.5 MiB of kernel word and f
+DEFAULT_SEGMENT_SIZE = 1 << 18  # entries per sieve block: 0.75 MiB of kernel word and f
 
 # Working set of one sieve block, per entry (n, or odd n in a step-2 sweep): the
-# kernel's uint16 word and uint8 f, 3 B; consumers read it in views of 2**18
+# kernel's uint16 word and uint8 f, 3 B; consumers read it in views of 2**17
 # entries, up to about 7 B per view entry, and drop them before the next block:
-# traced peaks are 3.3-4.5 B per entry at 2**19-entry blocks (3.0-3.3 at 2**20); the cap is 32.
+# traced peaks are 3.8-4.9 B per entry at 2**18-entry blocks (3.0-3.3 at 2**20); the cap is 32.
 WORKING_BYTES_PER_N = 32
 
 

@@ -312,7 +312,7 @@ def _add_common(p: argparse.ArgumentParser, with_x: bool = True) -> None:
     if with_x:
         p.add_argument("--x", type=sweep_bound, required=True, help="inclusive upper bound")
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
-                   help="entries per sieve block (>= 64), read in views of at most 2**18;"
+                   help="entries per sieve block (>= 64), read in views of at most 2**17;"
                    " results do not depend on this")
     p.add_argument("--threads", type=positive_int, default=1,
                    help="worker threads; results do not depend on this")

@@ -25,7 +25,7 @@ from .budget import DEFAULT_SEGMENT_SIZE, WORKING_BYTES_PER_N, require_budget
 
 MIN_SEGMENT_SIZE = 64
 # Entries per yielded view of a block: consumers' temporaries stay below the kernel's.
-VIEW_SIZE = 1 << 18
+VIEW_SIZE = 1 << 17
 WHEEL = {3: 9, 5: 5, 7: 7, 11: 11, 13: 13}  # prime: the top power of it a block's start word holds
 WHEEL_PERIOD = math.prod(WHEEL.values())  # 45045: a wheel pre-sieve (Pritchard, Acta Inf. 17, 1982)
 F_TAGS = ("omega", "big_omega")
@@ -227,14 +227,26 @@ def next_prime(n: int | float) -> int:
     return c
 
 
-def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str) -> tuple[list[tuple], list[np.uint16]]:
-    """Kernel increments (p, prime hit, power hit) and band thresholds T_b,
-    as np.uint16 scalars, which a uint16 slice adds with no conversion.
+@dataclass(frozen=True)
+class _KernelTables:
+    """A sweep's kernel tables, from _sieve_tables; blocks only read them."""
 
-    The word of n starts at 255.  A hit of p adds 256 - c_p, c_p =
-    round(3 log2 p) >= 3: the low byte keeps 255 - S(n), S(n) = sum of
-    v_p(n) c_p, and the high byte counts 1.  A hit of p**a (a >= 2) adds the
-    same for big_omega, and 65536 - c_p, a wrapping -c_p, for omega.
+    q: np.ndarray  # int64 prime powers the loop hits, ordered by base prime p
+    adds: np.ndarray  # uint16 add of each q
+    squares: np.ndarray  # int64 p * p of each q: a block sieves the q with p * p below its end
+    batched: np.ndarray  # int64 primes hit by one np.add.at per weight class, ascending
+    classes: list[tuple[int, int, np.uint16]]  # (start, end, add): batched[start:end] share c_p
+    thresholds: list[np.uint16]  # T_b
+    start: np.ndarray  # uint16 word of n = step * i (mod WHEEL_PERIOD), i < WHEEL_PERIOD
+
+
+def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str, entries: int) -> _KernelTables:
+    """Kernel tables of a sweep below hi in blocks of at most entries entries.
+
+    The word of n starts at 255.  A hit of p adds 256 - c_p, c_p = round(3
+    log2 p) >= 3: the low byte keeps 255 - S(n), S(n) = sum of v_p(n) c_p, and
+    the high byte counts 1.  A hit of p**a (a >= 2) adds the same for big_omega,
+    and 65536 - c_p, a wrapping -c_p, for omega; wrapping adds commute.
 
     Let r_min <= c_p / log2 p <= r_max over the sieve primes.  In band b an
     n made of sieve primes has S(n) >= r_min b.  An n with a prime factor
@@ -244,6 +256,11 @@ def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str) -> tuple[list[tuple],
     As S(n) < r_max bitlen(hi - 1) < 256 and T_b <= r_min b < 256, the low
     byte never borrows and adding T_b carries into the high byte (which ends
     at f(n) <= 63) exactly when 255 - S(n) + T_b >= 256, i.e. S(n) < T_b.
+
+    The start word holds the WHEEL powers (an odd q | WHEEL_PERIOD divides n
+    exactly when it divides i).  The primes above 13 and entries >> 8 hit a
+    block fewer than 2**8 times each: they are batched by c_p, one add per
+    class.  The loop holds every other power.
     """
     logs = np.log2(primes)
     weights = np.rint(3 * logs).astype(np.int64)
@@ -255,51 +272,64 @@ def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str) -> tuple[list[tuple],
     if r_max * top >= 256 or any(t > r_min * b - 1e-9 for b, t in enumerate(thresholds) if b):
         raise ArithmeticError(f"log weights do not separate the bands below {hi}")
     power_carry = 256 if f_tag == "big_omega" else 65536
-    u16 = np.uint16
-    hits = [(p, u16(256 - c), u16(power_carry - c)) for p, c in zip(primes.tolist(), weights.tolist())]
-    return hits, [u16(t) for t in thresholds]
-
-
-def _start_word(hits: list[tuple]) -> np.ndarray:
-    """The word of n = step * i (mod WHEEL_PERIOD) at i < WHEEL_PERIOD after
-    the hits of the WHEEL powers among hits' primes, for step 1 and 2 alike:
-    an odd q | WHEEL_PERIOD divides n exactly when it divides i."""
-    word = np.full(WHEEL_PERIOD, 255, dtype=np.uint16)
-    for p, hit, power_hit in hits:
-        q, add = p, hit
-        while q <= WHEEL.get(p, 0):
-            word[::q] += add
-            q, add = q * p, power_hit
-    return word
-
-
-def _segment_factor_counts(
-    lo: int, hi: int, hits: list[tuple], thresholds: list[np.uint16], step: int, start: np.ndarray
-) -> np.ndarray:
-    """Pure worker: f at n = lo + step * i in [lo, hi) as uint8, from the
-    output of _sieve_tables, whose primes must not divide step, and its _start_word.
-
-    The word starts as the start word rotated to n = lo; the loop skips its
-    powers and hits only the primes up to isqrt(hi - 1).  That is exact: a
-    larger p has p * p >= hi, so it is the one prime factor above sqrt(n) of
-    each of its multiples n, which adding T_b (set for all the table's primes)
-    carries into the high byte like any such factor; the shift brings it down."""
-    span = len(range(lo, hi, step))
-    word = np.resize(np.roll(start, -(lo * pow(step, -1, WHEEL_PERIOD) % WHEEL_PERIOD)), span)
-    for p, hit, power_hit in hits:
-        if p * p >= hi:
-            break
-        q, add = (p * WHEEL[p], power_hit) if p in WHEEL else (p, hit)
+    batch = int(np.searchsorted(primes, max(entries >> 8, max(WHEEL)), side="right"))
+    start = np.full(WHEEL_PERIOD, 255, dtype=np.uint16)
+    loop = []
+    for i, (p, c) in enumerate(zip(primes.tolist(), weights.tolist())):
+        q = p if i < batch else p * p
         while q < hi:
-            first = (q - lo) % (step * q) // step  # index of the first (odd) multiple of q
-            if first >= span:  # then no multiple of a higher power either
-                break
-            word[first::q] += add
-            q, add = q * p, power_hit
+            add = (256 if q == p else power_carry) - c
+            if q <= WHEEL.get(p, 0):
+                start[::q] += add
+            else:
+                loop.append((q, add, p * p))
+            q *= p
+    q, adds, squares = np.array(loop, dtype=np.int64).reshape(-1, 3).T.copy()
+    cuts = [0, *(np.flatnonzero(np.diff(weights[batch:])) + 1).tolist(), len(primes) - batch]
+    classes = [(a, b, np.uint16(256 - weights[batch + a])) for a, b in zip(cuts, cuts[1:]) if a < b]
+    return _KernelTables(q, adds.astype(np.uint16), squares, primes[batch:], classes,
+                         [np.uint16(t) for t in thresholds], start)
+
+
+def _first_index(q: np.ndarray, lo: int, step: int) -> np.ndarray:
+    """Per q, the index from lo of q's first (at step 2, first odd) multiple >= lo; forms no 2 q."""
+    r = -lo % q
+    return r if step == 1 else (r >> 1) + (r & 1) * ((q >> 1) + 1)
+
+
+def _segment_factor_counts(lo: int, hi: int, tables: _KernelTables, step: int) -> np.ndarray:
+    """Pure worker: f at n = lo + step * i in [lo, hi) as uint8, from the
+    output of _sieve_tables, whose primes must not divide step.
+
+    The word starts as the start word rotated to n = lo.  One int64 op finds
+    every loop power's first index; the loop visits the powers inside the
+    block.  Each class of batched primes takes one np.add.at at first + j p,
+    j < ceil(span / its least p), which covers every multiple; indices past
+    the block go to the spare entry word[span], and np.add.at adds once per
+    index, so twice where two primes of a class divide one n.  Only the
+    primes up to isqrt(hi - 1) are sieved.  That is exact: a larger p has
+    p * p >= hi, so it is the one prime factor above sqrt(n) of each of its
+    multiples n, which adding T_b (set for all the table's primes) carries
+    into the high byte like any such factor; the shift brings it down."""
+    span = len(range(lo, hi, step))
+    word = np.resize(np.roll(tables.start, -(lo * pow(step, -1, WHEEL_PERIOD) % WHEEL_PERIOD)), span + 1)
+    q = tables.q[: np.searchsorted(tables.squares, hi)]
+    first = _first_index(q, lo, step)
+    live = first < span
+    for i, stride, add in zip(first[live].tolist(), q[live].tolist(), tables.adds[: len(q)][live]):
+        word[i::stride] += add
+    primes = tables.batched[: np.searchsorted(tables.batched, math.isqrt(hi - 1), side="right")]
+    first = _first_index(primes, lo, step)
+    for a, b, add in tables.classes:
+        if a >= len(primes):
+            break
+        idx = primes[a:b, None] * np.arange(-(-span // int(primes[a])))
+        idx += first[a:b, None]
+        np.add.at(word, np.minimum(idx, span, out=idx).ravel(), add)
     for b in range(lo.bit_length() - 1, (hi - 1).bit_length()):
         a, z = max(lo, 1 << b) - lo, min(hi, 2 << b) - lo
-        word[-(-a // step) : -(-z // step)] += thresholds[b]  # entries with a <= n - lo < z
-    return np.right_shift(word, 8, out=np.empty(span, dtype=np.uint8), casting="unsafe")
+        word[-(-a // step) : -(-z // step)] += tables.thresholds[b]  # entries with a <= n - lo < z
+    return np.right_shift(word[:span], 8, out=np.empty(span, dtype=np.uint8), casting="unsafe")
 
 
 def _pipelined(worker: Callable, items: Iterable, threads: int) -> Iterator:
@@ -330,12 +360,13 @@ def iter_factor_segments(
     """FactorCensus segments of f_tag at n = lo + step * i in [lo, hi), ascending.
 
     step 1 sweeps every n, step 2 the odd n from an odd lo.  The kernel sieves
-    blocks of segment_size entries, each from one start word and up to its own
-    prime cutoff, and each block is yielded as views of at most VIEW_SIZE
-    entries that tile it.  Once a consumer drops a block's last view, the block is
-    freed before the next one is sieved.  Range, step and tag are checked at the
-    call, before any segment.  Segments never change the counts; workers share
-    only read-only tables, so results are identical for any threads value.
+    blocks of segment_size entries, each from one start word, up to its own
+    prime cutoff and with one np.add.at per weight class of its large primes,
+    and yields each as views of at most VIEW_SIZE entries that tile it.  Once a
+    consumer drops a block's last view, the block is freed before the next one
+    is sieved.  Range, step and tag are checked at the call, before any segment.
+    Segments never change the counts; workers share only read-only tables, so
+    results are identical for any threads value.
     """
     if f_tag not in F_TAGS:
         raise ValueError(f"f_tag must be one of {F_TAGS}, got {f_tag!r}")
@@ -350,11 +381,10 @@ def iter_factor_segments(
     require_budget(WORKING_BYTES_PER_N * entries * max(1, threads), "segmented sieve")
     root = math.isqrt(hi - 1)
     sieve_primes = primes_up_to(root).primes if root >= 2 else np.empty(0, dtype=np.int64)
-    hits, thresholds = _sieve_tables(sieve_primes[step - 1 :], hi, f_tag)  # 2 leads; step 2 skips it
-    start = _start_word(hits)
+    tables = _sieve_tables(sieve_primes[step - 1 :], hi, f_tag, entries)  # 2 leads; step 2 skips it
 
     def worker(span: tuple[int, int]) -> tuple[int, int, np.ndarray]:
-        return *span, _segment_factor_counts(*span, hits, thresholds, step, start)
+        return *span, _segment_factor_counts(*span, tables, step)
 
     def views(blocks: Iterator[tuple[int, int, np.ndarray]]) -> Iterator[FactorCensus]:
         for a, b, f in blocks:

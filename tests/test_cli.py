@@ -88,10 +88,12 @@ def test_report_rerun_is_byte_identical(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("segment_size", ["262143", "262144", "1048576"])
+@pytest.mark.parametrize("segment_size", ["131071", "131072", "262143", "262144", "1048576"])
 def test_report_bytes_do_not_depend_on_views(tmp_path, segment_size):
-    # 10**6 odd n up to 2*10**6: blocks of 2**18 - 1 entries yield one view
-    # each, blocks of 2**18 one full view, and one 2**20 block four views.
+    # 10**6 odd n up to 2*10**6, in views of 2**17 entries: blocks of 2**17 - 1
+    # entries yield one view each, blocks of 2**17 one full view, blocks of
+    # 2**18 - 1 a full view and one an entry short of it, blocks of 2**18 two
+    # full views, and one 2**20 block eight views.
     # The digests were recorded from whole-block reads, before views existed.
     assert run(["report", "--grid", "100000,1000000,2000000", "--segment-size", segment_size], tmp_path) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
@@ -352,7 +354,7 @@ def test_capacity_exit_3(tmp_path, monkeypatch):
 
 def test_phi_beyond_budget_exit_3(tmp_path, capsys, monkeypatch):
     # At 10**12 phi's node sums need about 846 MB and the working set of a
-    # 2**19-entry block 16 MB: over a 512 MB budget, refused before it counts
+    # 2**18-entry block 8 MB: over a 512 MB budget, refused before it counts
     # or sweeps anything.
     def never(*args, **kwargs):
         raise AssertionError("phi counted primes past its budget")
@@ -365,7 +367,7 @@ def test_phi_beyond_budget_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(proximity_module, "prime_pi", never)
     monkeypatch.setattr(proximity_module, "iter_factor_segments", never_swept)
     assert run(["phi", "--x", "1000000000000"], tmp_path) == 3
-    assert "phi diagnostics needs about 863 MB" in capsys.readouterr().err
+    assert "phi diagnostics needs about 855 MB" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -355,10 +355,11 @@ def test_consumers_hold_less_than_the_kernel_block(consumer, paper_g_40):
 
 @pytest.mark.parametrize("consumer", ["certificate", "coincidence", "phi", "census"])
 def test_consumers_hold_less_than_a_default_block(consumer, paper_g_40):
-    # A default 2^19-entry block costs the kernel 1.5 MiB; with a consumer's
-    # view on top, traced peaks were 1.66-1.74 MiB for census, E and phi and
-    # 2.24 MiB for L, against 3.20-3.25 MiB at 2^20.
-    assert _traced_peak(consumer, paper_g_40, DEFAULT_SEGMENT_SIZE) < 2.5 * 2**20
+    # A default 2^18-entry block costs the kernel 0.75 MiB; with a consumer's
+    # 2^17-entry view on top, traced peaks were 0.96-1.02 MiB for census, E
+    # and phi and 1.23 MiB for L, against 1.66-2.24 MiB with 2^19-entry blocks
+    # read in 2^18-entry views, and 3.20-3.25 MiB at 2^20.
+    assert _traced_peak(consumer, paper_g_40, DEFAULT_SEGMENT_SIZE) < 1.5 * 2**20
 
 
 def test_phi_json_payload():

@@ -309,6 +309,39 @@ def test_start_word_and_block_cutoff_match_factorize(step):
             assert np.array_equal(got, counts[::step]), (tag, threads)
 
 
+@pytest.mark.parametrize("step", [1, 2])
+def test_batched_primes_match_factorize(step):
+    # The primes above 13 and a block's entries >> 8 are hit by one np.add.at
+    # per weight class c_p: every one in blocks of 64 entries, those from 17
+    # or 37 up in a default block of this window.  It starts at 1031 * 1029,
+    # so a batched prime's first multiple is entry 0, and ends at 1033 * 1035,
+    # entry span - 1 of its last block; it holds 1031**2 (a batched prime's
+    # square, which the loop hits) and 1031 * 1033, where two primes of class
+    # 30 hit one entry.
+    assert round(3 * math.log2(1031)) == round(3 * math.log2(1033)) == 30
+    lo, hi = 1031 * 1029, 1033 * 1035 + step
+    assert primes_up_to(math.isqrt(hi - 1)).primes[-1] == 1033  # the largest sieve prime
+    want = [factorize(n) for n in range(lo, hi, step)]
+    counts = {"omega": [len(set(fs)) for fs in want], "big_omega": [len(fs) for fs in want]}
+    for tag in F_TAGS:
+        for segment_size in (64, DEFAULT_SEGMENT_SIZE):
+            for threads in (1, 2):
+                segments = iter_factor_segments(lo, hi, segment_size, threads, tag, step)
+                got = np.concatenate([seg.f for seg in segments])
+                assert got.tolist() == counts[tag], (tag, segment_size, threads)
+    # A full default block, whose batched primes start at 1031, holding
+    # 1031 * 1033 and 1031**2, against the product kernel.
+    lo = 1031 * 1033 - step * (2**17 + 1)
+    hi = lo + step * (DEFAULT_SEGMENT_SIZE + 777)
+    want = segment_factor_counts_product(lo, hi, primes_up_to(math.isqrt(hi - 1)).primes.tolist())
+    assert DEFAULT_SEGMENT_SIZE >> 8 < 1031 <= math.isqrt(hi - 1) and lo < 1031**2
+    for tag, counts in zip(("omega", "big_omega"), want):
+        for threads in (1, 2):
+            segments = iter_factor_segments(lo, hi, DEFAULT_SEGMENT_SIZE, threads, tag, step)
+            got = np.concatenate([seg.f for seg in segments])
+            assert np.array_equal(got, counts[::step]), (tag, threads)
+
+
 def test_bad_step_refused_before_any_buffer(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("nothing may be swept or allocated")
@@ -340,11 +373,16 @@ def test_band_thresholds_separate_every_band():
             # low one; a power hit does the same for big_omega, and for omega
             # wraps to -c_p alone.
             tables = {}
+            weight = dict(zip(table.tolist(), weights))
             for tag, power_carry in (("big_omega", 256), ("omega", 65536)):
-                hits, tables[tag] = sieve._sieve_tables(table, 2**63 - 1, tag)
-                assert hits == [
-                    (p, 256 - c, power_carry - c) for p, c in zip(table.tolist(), weights)
+                kernel = sieve._sieve_tables(table, 2**63 - 1, tag, DEFAULT_SEGMENT_SIZE)
+                tables[tag] = kernel.thresholds
+                bases = [math.isqrt(square) for square in kernel.squares.tolist()]
+                assert kernel.adds.tolist() == [
+                    (256 if q == p else power_carry) - weight[p] for q, p in zip(kernel.q.tolist(), bases)
                 ], tag
+                for a, b, add in kernel.classes:
+                    assert {256 - weight[p] for p in kernel.batched[a:b].tolist()} == {add}, tag
             thresholds = tables["omega"]
             assert tables["big_omega"] == thresholds
             exact = [mpmath.mpf(c) / mpmath.log(p, 2) for p, c in zip(table.tolist()[:4], weights)]
@@ -363,9 +401,9 @@ def test_band_thresholds_separate_every_band():
     # those n, so a table of the two gives the same word as the full one.
     cases = {1: (0, 0), 2 * 3**39: (2, 40), 2**62: (1, 62)}
     for i, tag in enumerate(("omega", "big_omega")):
-        hits, thresholds = sieve._sieve_tables(primes[:2], 2**63 - 1, tag)
+        kernel = sieve._sieve_tables(primes[:2], 2**63 - 1, tag, 1)
         for n, want in cases.items():
-            f = sieve._segment_factor_counts(n, n + 1, hits, thresholds, 1, sieve._start_word(hits))
+            f = sieve._segment_factor_counts(n, n + 1, kernel, 1)
             assert f.dtype == np.uint8 and int(f[0]) == want[i], (tag, n)
 
 
