@@ -44,17 +44,14 @@ class CensusTable:
 def add_level_counts(acc: np.ndarray, values: np.ndarray) -> None:
     """acc[k] += #{i : values[i] == k} for each k < len(acc); values past acc
     (parked entries) are not counted.  One count_nonzero pass per level up to
-    the last counted one, if that is below 16 (omega), else bincount by 2**16
-    (int64 copies of 512 KB) for the levels still left."""
+    the last counted one; the parked entries are counted first, in one pass,
+    if the max shows there are any (so a view with none skips it)."""
     top = int(values.max(initial=0))
     left = len(values) - (int(np.count_nonzero(values >= len(acc))) if top >= len(acc) else 0)
-    low = 0  # levels below low are counted; parked entries never force bincount
-    while left and low < 16 and not 16 <= top < len(acc):
-        c = int(np.count_nonzero(values == low))
-        acc[low] += c
-        left, low = left - c, low + 1
-    for i in range(0, len(values) if left else 0, 1 << 16):
-        acc[low:] += np.bincount(values[i : i + (1 << 16)], minlength=len(acc))[low : len(acc)]
+    level = 0
+    while left:
+        acc[level] += (c := int(np.count_nonzero(values == level)))
+        left, level = left - c, level + 1
 
 
 class LevelSnapshots:

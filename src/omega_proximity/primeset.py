@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .sieve import is_prime, next_prime
+from .sieve import first_index, is_prime, next_prime
 
 
 def _is_int(v: object) -> bool:
@@ -132,8 +132,7 @@ def reciprocal_sums(s: PrimeSetS) -> tuple[float, float]:
     The member 2 belongs to neither class and is skipped; the two sums add
     up to the reciprocal sum over the odd members.
     """
-    r1 = 0.0
-    r3 = 0.0
+    r1 = r3 = 0.0
     for m, tag in zip(s.members, s.classes):
         if tag == 1:
             r1 += 1.0 / m
@@ -156,6 +155,6 @@ def coprime_mask(lo: int, hi: int, members: Sequence[int], step: int = 1) -> np.
     mask = np.ones(len(range(lo, hi, step)), dtype=bool)
     for m in members:
         if step % m:
-            mask[(m - lo) % (step * m) // step :: m] = False  # from the first multiple in range
+            mask[first_index(m, lo, step) :: m] = False
     return mask
 

@@ -20,7 +20,7 @@ from .census import LevelSnapshots
 from .errors import CertificateError
 from .gfunction import GFunction
 from .sieve import (
-    LEVEL_CEILING, FactorCensus, iter_factor_segments, prime_pi, prime_power_level, primes_up_to,
+    LEVEL_CEILING, FactorCensus, first_index, iter_factor_segments, prime_pi, prime_power_level, primes_up_to,
 )
 
 
@@ -61,7 +61,7 @@ def _g_segment_values(g: GFunction, lo: int, hi: int, step: int = 1) -> np.ndarr
     out = np.ones(len(range(lo, hi, step)), dtype=np.uint16)
     for entry in g.entries:
         if step % entry.prime:
-            sl = out[(entry.prime - lo) % (step * entry.prime) // step :: entry.prime]
+            sl = out[first_index(entry.prime, lo, step) :: entry.prime]
             sl *= min(entry.value, LEVEL_CEILING)
             np.minimum(sl, LEVEL_CEILING, out=sl)
     return out
@@ -154,7 +154,7 @@ def certificate_count(
         f = seg.f
         marks = np.zeros(len(f), dtype=np.uint16)  # 256 + capped g(p) per odd member p | m
         for p, mark in odd_marks:
-            marks[(p - seg.lo) % (2 * p) // 2 :: p] += mark
+            marks[first_index(p, seg.lo, 2) :: p] += mark
         levels = np.greater_equal(marks, 256).view(np.uint8)  # r route: park members' multiples
         levels *= LEVEL_CEILING
         levels += f

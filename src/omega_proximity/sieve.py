@@ -105,7 +105,7 @@ def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     every S(v) with v >= p * p, read before the step.  About x**(3/4) steps.
     """
     r = math.isqrt(x)
-    require_budget(48 * (r + 1), "prime count")  # three tables and a step's temporaries
+    require_budget(64 * (r + 1), "prime count")  # three tables, a step's temporaries and the results
     ks = np.arange(r + 1, dtype=np.int64)
     small = ks - 1  # small[v] = S(v) for v <= r
     large = x // ks.clip(1) - 1  # large[k] = S(x // k) for 1 <= k <= r
@@ -119,7 +119,8 @@ def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
         if p * p <= r:
             small[p * p :] -= small[ks[p * p :] // p] - sp
     top = r - (x // r == r)  # x // k > r exactly for k <= top
-    return np.concatenate([ks[1:], x // ks[top:0:-1]]), np.concatenate([small[1:], large[top:0:-1]]), primes
+    ks = np.concatenate([ks[1:], x // ks[top:0:-1]])  # the values: the old ks is not held beside both results
+    return ks, np.concatenate([small[1:], large[top:0:-1]]), primes
 
 
 def prime_pi(x: int) -> int:
@@ -219,9 +220,7 @@ def next_prime(n: int | float) -> int:
     """Smallest prime strictly greater than n (n may be real, n >= 0)."""
     if n < 0:
         raise ValueError(f"next_prime requires n >= 0, got {n}")
-    c = math.floor(n) + 1
-    if c < 2:
-        c = 2
+    c = max(2, math.floor(n) + 1)
     while not is_prime(c):
         c += 1
     return c
@@ -291,7 +290,7 @@ def _sieve_tables(primes: np.ndarray, hi: int, f_tag: str, entries: int) -> _Ker
                          [np.uint16(t) for t in thresholds], start)
 
 
-def _first_index(q: np.ndarray, lo: int, step: int) -> np.ndarray:
+def first_index(q: np.ndarray | int, lo: int, step: int) -> np.ndarray | int:
     """Per q, the index from lo of q's first (at step 2, first odd) multiple >= lo; forms no 2 q."""
     r = -lo % q
     return r if step == 1 else (r >> 1) + (r & 1) * ((q >> 1) + 1)
@@ -301,25 +300,29 @@ def _segment_factor_counts(lo: int, hi: int, tables: _KernelTables, step: int) -
     """Pure worker: f at n = lo + step * i in [lo, hi) as uint8, from the
     output of _sieve_tables, whose primes must not divide step.
 
-    The word starts as the start word rotated to n = lo.  One int64 op finds
-    every loop power's first index; the loop visits the powers inside the
-    block.  Each class of batched primes takes one np.add.at at first + j p,
-    j < ceil(span / its least p), which covers every multiple; indices past
-    the block go to the spare entry word[span], and np.add.at adds once per
-    index, so twice where two primes of a class divide one n.  Only the
-    primes up to isqrt(hi - 1) are sieved.  That is exact: a larger p has
-    p * p >= hi, so it is the one prime factor above sqrt(n) of each of its
-    multiples n, which adding T_b (set for all the table's primes) carries
-    into the high byte like any such factor; the shift brings it down."""
+    The word repeats the start word from n = lo in whole periods, whose buffer,
+    freed, fits two uint16 view temporaries (span + 1 entries miss by a heap
+    header).  One int64 op finds every loop power's first index; the loop
+    visits the powers inside the block.  Each class of batched primes takes
+    one np.add.at at first + j p, j < ceil(span / its least p), which covers
+    every multiple; indices past the block go to the spare entry word[span],
+    and np.add.at adds once per index, so twice where two primes of a class
+    divide one n.  Only the primes up to isqrt(hi - 1) are sieved.  That is
+    exact: a larger p has p * p >= hi, so it is the one prime factor above
+    sqrt(n) of each of its multiples n, which adding T_b (set for all the
+    table's primes) carries into the high byte like any such factor; the
+    shift brings it down."""
     span = len(range(lo, hi, step))
-    word = np.resize(np.roll(tables.start, -(lo * pow(step, -1, WHEEL_PERIOD) % WHEEL_PERIOD)), span + 1)
+    word = np.empty(-(-(span + 1) // WHEEL_PERIOD) * WHEEL_PERIOD, dtype=np.uint16)[: span + 1]
+    for a in range(-(lo * pow(step, -1, WHEEL_PERIOD) % WHEEL_PERIOD), span + 1, WHEEL_PERIOD):
+        word[max(a, 0) : a + WHEEL_PERIOD] = tables.start[max(-a, 0) : span + 1 - a]
     q = tables.q[: np.searchsorted(tables.squares, hi)]
-    first = _first_index(q, lo, step)
+    first = first_index(q, lo, step)
     live = first < span
     for i, stride, add in zip(first[live].tolist(), q[live].tolist(), tables.adds[: len(q)][live]):
         word[i::stride] += add
     primes = tables.batched[: np.searchsorted(tables.batched, math.isqrt(hi - 1), side="right")]
-    first = _first_index(primes, lo, step)
+    first = first_index(primes, lo, step)
     for a, b, add in tables.classes:
         if a >= len(primes):
             break

@@ -82,8 +82,8 @@ def test_buffers_sized_only_after_the_range_check(monkeypatch):
 
 
 def test_add_level_counts_matches_bincount():
-    # Levels below 16 take one pass per level, higher ones bincount in
-    # chunks of 2**16, which the longer input splits with a short last one.
+    # One pass per level until every counted entry is, from a single level
+    # to 127 and on inputs of 5000 and 3 * 2**16 + 5 entries.
     rng = np.random.default_rng(7)
     cases = ((0, 5000), (1, 5000), (15, 5000), (16, 5000), (63, 5000), (127, 3 << 16 | 5))
     for top, size in cases:
@@ -95,7 +95,7 @@ def test_add_level_counts_matches_bincount():
         want[3] += 5
         assert np.array_equal(acc, want), top
     # Values past a 64-wide accumulator are parked and not counted, whether
-    # the counted levels stop below 16, run past it, or are absent.
+    # the counted levels stop early, run to 40, or are absent.
     for top, size in ((0, 5000), (8, 5000), (15, 5000), (16, 5000), (40, 3 << 16 | 5)):
         values = rng.integers(0, top + 1, size).astype(np.uint8)
         values[rng.random(size) < 0.3] += 64
@@ -105,6 +105,11 @@ def test_add_level_counts_matches_bincount():
         want = np.bincount(values, minlength=256)[:64]
         want[3] += 5
         assert np.array_equal(acc, want), top
+    # Each level once, and a lone top value among parked ones: the last pass counts one entry.
+    for values in (np.arange(64, dtype=np.uint8), np.array([0] * 99 + [40] + [64] * 9, dtype=np.uint8)):
+        acc = np.zeros(64, dtype=np.int64)
+        add_level_counts(acc, values)
+        assert np.array_equal(acc, np.bincount(values, minlength=128)[:64])
     acc = np.zeros(64, dtype=np.int64)
     add_level_counts(acc, np.full(100, 64, dtype=np.uint8))
     assert not acc.any()

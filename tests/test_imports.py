@@ -2,10 +2,10 @@
 
 Every name a package module imports is used by that module, the package
 module itself imports nothing, no module loads OpenSSL, the CLI's one
-writer is the only code that writes a file, and the library sweeps only
-the odd n.  No linter ships with the project, so these walk each module's
-syntax tree instead; a child process checks that no subcommand loads
-OpenSSL's bindings.
+writer is the only code that writes a file, the library sweeps only the
+odd n, and only the sieve reduces modulo a product.  No linter ships with
+the project, so these walk each module's syntax tree instead; a child
+process checks that no subcommand loads OpenSSL's bindings.
 """
 
 import ast
@@ -175,3 +175,29 @@ def test_library_sweeps_are_odd():
     assert {name: [s for s in found if s != 2] for name, found in steps.items()} == {
         name: [] for name in steps
     }
+
+
+def _reductions_by_a_product(tree: ast.Module) -> list[int]:
+    """The lines of each x % (a * b) or x %= a * b in tree."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            right = node.right
+        elif isinstance(node, ast.AugAssign):
+            right = node.value
+        else:
+            continue
+        if isinstance(node.op, ast.Mod) and isinstance(right, ast.BinOp) and isinstance(right.op, ast.Mult):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_first_multiple_rule_has_one_owner():
+    # A stride's first entry, (p - lo) mod (step p) // step, is sieve.first_index's
+    # to compute; every other module calls it instead of reducing by a product.
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := _reductions_by_a_product(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert set(found) <= {"sieve.py"}, found

@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import os
 import random
+import tracemalloc
 from concurrent.futures import Future
 
 import mpmath
@@ -76,6 +77,21 @@ def test_prime_pi_published_values():
 @example(x=10**6)
 def test_prime_pi_matches_a_prime_table(x):
     assert prime_pi(x) == len(primes_up_to(x).primes)
+
+
+def test_prime_count_holds_no_more_than_it_charges(monkeypatch):
+    # The prime count's tables, a step's temporaries and both results, traced,
+    # stay within what it asks the budget for.
+    charged = {}
+    monkeypatch.setattr(sieve, "require_budget", lambda nbytes, what: charged.__setitem__(what, nbytes))
+    for x in (10**5, 10**7, 10**8, 10**9):
+        tracemalloc.start()
+        try:
+            sieve._prime_counts(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged["prime count"], (x, peak)
 
 
 def test_is_prime_matches_oracle():
@@ -271,6 +287,32 @@ def test_step_two_holds_the_odd_entries(b, before, after):
                 assert all(seg.step == 2 and len(seg.f) <= segment_size for seg in segments)
                 odd = np.concatenate([seg.f for seg in segments])
                 assert np.array_equal(odd, full[::2]), (tag, segment_size, threads)
+
+
+def test_first_index_is_the_first_multiple():
+    # Python ints and int64 arrays alike: the least i >= 0 with q | lo + step * i,
+    # at step 2 for odd q and odd lo.  Small q are searched for it; large
+    # ones, near 3 * 10**9 and with lo near 2**63 - 1, are checked by the
+    # defining property, as step is a unit mod q and i < q.
+    rng = random.Random(2)
+    top = 2**63 - 1
+    for step in (1, 2):
+        cases = [(q, lo) for q in range(1, 60) for lo in range(1, 130)]
+        cases += [(rng.randrange(1, 3 * 10**9), rng.randrange(1, 10**12)) for _ in range(200)]
+        cases += [(3 * 10**9 + d, top - rng.randrange(1 << 20)) for d in range(-50, 50)]
+        cases += [(rng.randrange(1, 1 << 20), top - d) for d in range(50)]
+        if step == 2:
+            cases = [(q | 1, lo | 1) for q, lo in cases]
+        for q, lo in cases:
+            got = sieve.first_index(q, lo, step)
+            assert 0 <= got < q and (lo + step * got) % q == 0, (q, lo, step)
+            if q < 60:
+                assert got == next(i for i in range(q) if (lo + step * i) % q == 0)
+        qs = np.array([q for q, _ in cases], dtype=np.int64)
+        for lo in (1, 3, 3 * sieve.WHEEL_PERIOD, 10**12 + 1, top - (1 << 20), top - 2, top):
+            got = sieve.first_index(qs, lo, step)
+            assert got.dtype == np.int64
+            assert got.tolist() == [sieve.first_index(q, lo, step) for q in qs.tolist()], (lo, step)
 
 
 @pytest.mark.parametrize("step", [1, 2])
